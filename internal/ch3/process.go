@@ -28,9 +28,9 @@ type Config struct {
 	// in-flight-requests gauge under canonical names; nil keeps standalone
 	// counters.
 	Metrics *trace.Registry
-	// NoPooling disables the request/job free lists: every operation
-	// allocates fresh. Virtual-time results are identical either way; the
-	// switch exists for neutrality verification.
+	// NoPooling disables this layer's request and shm-job free lists: every
+	// operation allocates fresh and Release is a no-op. Virtual-time results
+	// are identical either way; the switch exists for neutrality verification.
 	NoPooling bool
 }
 
@@ -138,8 +138,9 @@ type Process struct {
 	rdvOut     map[uint64]*Request
 	nextCookie uint64
 
-	// Free lists (see getReq/putReq): recycled transient requests and shm
-	// jobs, so the nonblocking-collective hot path stops allocating.
+	// Free lists (see getReq/putReq): recycled requests — transient ones and
+	// those their owner released — and shm jobs, so the blocking
+	// point-to-point and nonblocking-collective hot paths stop allocating.
 	reqFree []*Request
 	jobFree []*shmJob
 
@@ -277,27 +278,43 @@ func (p *Process) NewSendRequest(dst int, tag, ctx int32, data []byte) *Request 
 // ---- request/job free lists ----------------------------------------------
 
 // getReq pops a recycled request from the free list (or allocates on a
-// miss), marked transient: it will return to the pool once its single
-// completion callback has run.
-func (p *Process) getReq(kind reqKind) *Request {
+// miss). A transient request returns to the pool by itself once its single
+// completion callback has run; any other belongs to the caller until
+// Release.
+func (p *Process) getReq(kind reqKind, transient bool) *Request {
+	if p.cfg.NoPooling {
+		return &Request{p: p, kind: kind}
+	}
 	if n := len(p.reqFree); n > 0 {
 		r := p.reqFree[n-1]
 		p.reqFree[n-1] = nil
 		p.reqFree = p.reqFree[:n-1]
-		r.p, r.kind, r.transient = p, kind, true
+		r.p, r.kind, r.transient = p, kind, transient
 		p.reqPoolHits.Inc()
 		return r
 	}
 	p.reqPoolMisses.Inc()
-	return &Request{p: p, kind: kind, transient: true}
+	return &Request{p: p, kind: kind, transient: transient}
 }
 
-// putReq recycles a completed transient request, keeping its callback
-// slice's capacity so re-registering a callback after reuse is free.
+// putReq recycles a completed request, keeping its callback slice's
+// capacity and its bound Done predicate so reuse re-creates neither.
 func (p *Process) putReq(r *Request) {
-	cbs := r.onComplete[:0]
-	*r = Request{onComplete: cbs}
+	*r = Request{onComplete: r.onComplete[:0], doneFn: r.doneFn}
 	p.reqFree = append(p.reqFree, r)
+}
+
+// Release hands a completed request obtained from Isend/Irecv (any
+// non-transient form) back to the free list, once its status has been read;
+// the caller must not touch it afterwards. Releasing is optional — an
+// unreleased request is simply collected.
+func (p *Process) Release(r *Request) {
+	if !r.done || r.transient {
+		panic("ch3: Release of an in-flight or transient request")
+	}
+	if !p.cfg.NoPooling {
+		p.putReq(r)
+	}
 }
 
 // getJob pops a recycled shm job (or allocates on a miss).
@@ -349,9 +366,9 @@ func (p *Process) IsendRail(proc *vtime.Proc, dst int, tag, ctx int32, data []by
 	return p.isend(proc, dst, tag, ctx, data, rail, false)
 }
 
-// IsendPooled is Isend returning a pooled transient request: the caller
-// must register exactly one completion callback and never touch the
-// request after that callback has run (the nonblocking-collective engine's
+// IsendPooled is Isend returning a transient request: the caller must
+// register exactly one completion callback and never touch the request
+// after that callback has run (the nonblocking-collective engine's
 // contract). With Config.NoPooling it degrades to a plain Isend.
 func (p *Process) IsendPooled(proc *vtime.Proc, dst int, tag, ctx int32, data []byte) *Request {
 	return p.isend(proc, dst, tag, ctx, data, 0, !p.cfg.NoPooling)
@@ -362,16 +379,11 @@ func (p *Process) IsendRailPooled(proc *vtime.Proc, dst int, tag, ctx int32, dat
 	return p.isend(proc, dst, tag, ctx, data, rail, !p.cfg.NoPooling)
 }
 
-func (p *Process) isend(proc *vtime.Proc, dst int, tag, ctx int32, data []byte, rail int, pooled bool) *Request {
+func (p *Process) isend(proc *vtime.Proc, dst int, tag, ctx int32, data []byte, rail int, transient bool) *Request {
 	if p.cfg.SendSW > 0 {
 		proc.Sleep(p.cfg.SendSW)
 	}
-	var r *Request
-	if pooled {
-		r = p.getReq(sendReq)
-	} else {
-		r = &Request{p: p, kind: sendReq}
-	}
+	r := p.getReq(sendReq, transient)
 	r.dst, r.tag, r.ctx, r.data, r.Rail = int32(dst), tag, ctx, data, rail
 	if dst == p.Rank {
 		panic("ch3: self-send must be handled by the MPI layer")
@@ -433,22 +445,17 @@ func (p *Process) Irecv(proc *vtime.Proc, src int, tag, ctx int32, buf []byte) *
 	return p.irecv(proc, src, tag, ctx, buf, false)
 }
 
-// IrecvPooled is Irecv returning a pooled transient request, under the same
+// IrecvPooled is Irecv returning a transient request, under the same
 // single-callback contract as IsendPooled.
 func (p *Process) IrecvPooled(proc *vtime.Proc, src int, tag, ctx int32, buf []byte) *Request {
 	return p.irecv(proc, src, tag, ctx, buf, !p.cfg.NoPooling)
 }
 
-func (p *Process) irecv(proc *vtime.Proc, src int, tag, ctx int32, buf []byte, pooled bool) *Request {
+func (p *Process) irecv(proc *vtime.Proc, src int, tag, ctx int32, buf []byte, transient bool) *Request {
 	if p.cfg.RecvSW > 0 {
 		proc.Sleep(p.cfg.RecvSW)
 	}
-	var r *Request
-	if pooled {
-		r = p.getReq(recvReq)
-	} else {
-		r = &Request{p: p, kind: recvReq}
-	}
+	r := p.getReq(recvReq, transient)
 	r.src, r.tag, r.ctx, r.buf = int32(src), tag, ctx, buf
 	p.track(r)
 
@@ -526,7 +533,7 @@ func (p *Process) UnexpectedQLen() int { return p.uq.n }
 
 // Wait blocks until r completes, driving progress per the configured regime.
 func (p *Process) Wait(proc *vtime.Proc, r *Request) {
-	p.Mgr.WaitUntil(proc, r.Done)
+	p.Mgr.WaitUntil(proc, r.DoneFunc())
 }
 
 // WaitAll blocks until every request completes.

@@ -10,7 +10,6 @@ package ch3
 import (
 	"fmt"
 
-	"repro/internal/nmad"
 	"repro/internal/vtime"
 )
 
@@ -36,18 +35,19 @@ const (
 )
 
 // Request is a CH3/ADI3 communication request. Each MPI operation is managed
-// through one; receive requests are queued on the posted receive queue, and
-// the Nemesis-specific portion carries a pointer to the corresponding
-// NewMadeleine request when the direct module is in use (§3.1.1).
+// through one; receive requests are queued on the posted receive queue. The
+// pairing with a NewMadeleine request when the direct module is in use
+// (§3.1.1) is held on that side, in nmad.Request.User.
 type Request struct {
 	p    *Process
 	kind reqKind
 	done bool
 
-	// transient marks a pooled request (IsendPooled/IrecvPooled): the
-	// caller holds it only until its single completion callback has run,
+	// transient marks a self-recycling request (IsendPooled/IrecvPooled):
+	// the caller holds it only until its single completion callback has run,
 	// after which the request returns to the process free list. Exactly one
-	// callback must ever be registered on a transient request.
+	// callback must ever be registered on a transient request. Any other
+	// request is the caller's until it hands it back with Process.Release.
 	transient bool
 	// tracked mirrors the request on the in-flight gauge; cleared (and the
 	// gauge decremented) at completion.
@@ -75,18 +75,27 @@ type Request struct {
 	// shared-memory traffic and single-rail backends ignore it.
 	Rail int
 
-	// Nmad is the associated NewMadeleine request (direct module only).
-	Nmad *nmad.Request
-
 	// Rendezvous bookkeeping (CH3-level protocol: shm and packet backends).
 	cookie    uint64
 	remaining int
 
 	onComplete []func()
+	// doneFn caches the Done method value across recycling (see DoneFunc).
+	doneFn func() bool
 }
 
 // Done reports whether the request has completed.
 func (r *Request) Done() bool { return r.done }
+
+// DoneFunc returns Done as a predicate for the progress manager's waits. It
+// is bound once per request object and survives recycling, so a blocking
+// wait on a recycled request builds no method value.
+func (r *Request) DoneFunc() func() bool {
+	if r.doneFn == nil {
+		r.doneFn = r.Done
+	}
+	return r.doneFn
+}
 
 // IsRecv reports whether r is a receive request.
 func (r *Request) IsRecv() bool { return r.kind == recvReq }

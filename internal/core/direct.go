@@ -51,6 +51,10 @@ type Direct struct {
 	cfg DirectConfig
 	as  *asSet
 
+	// Completion callbacks shared by every NewMadeleine request the module
+	// posts, bound once; the paired CH3 request rides nmad.Request.User.
+	onSendDone, onRecvDone func(*nmad.Request)
+
 	// Stats.
 	NetSends    int64
 	NetRecvs    int64
@@ -66,6 +70,7 @@ type Direct struct {
 // pass per rank.
 func NewDirect(p *ch3.Process, nm *nmad.Core, cfg DirectConfig) *Direct {
 	d := &Direct{p: p, nm: nm, cfg: cfg.withDefaults(), as: newASSet()}
+	d.onSendDone, d.onRecvDone = d.sendDone, d.recvDone
 	p.SetRemoteSendFn(func(proc *vtime.Proc, req *ch3.Request) { d.Isend(proc, req) })
 	p.SetBackend(d)
 	return d
@@ -88,9 +93,18 @@ func (d *Direct) Isend(proc *vtime.Proc, req *ch3.Request) {
 	}
 	rctx, _, rtag := reqTriple(req)
 	nr := d.nm.ISendRail(gate, encodeTag(rctx, d.p.Rank, rtag), req.Data(), req.Rail)
-	req.Nmad = nr
 	d.NetSends++
-	nr.SetOnComplete(func(*nmad.Request) { req.Complete() })
+	nr.User = req
+	nr.SetOnComplete(d.onSendDone)
+}
+
+// sendDone completes the CH3 request paired with a finished send. The
+// NewMadeleine request is released first: nothing reads it afterwards, and
+// the CH3 completion may post sends that reuse it.
+func (d *Direct) sendDone(nr *nmad.Request) {
+	req := nr.User.(*ch3.Request)
+	nr.Release()
+	req.Complete()
 }
 
 // reqTriple extracts (ctx, src, tag) for send requests tag/ctx live in the
@@ -119,16 +133,27 @@ func (d *Direct) postNmad(req *ch3.Request) {
 	t, mask := recvTagMask(ctx, int(src), tag)
 	gate := d.nm.Gate(int(src))
 	nr := d.nm.IRecv(gate, t, mask, req.Buffer())
-	req.Nmad = nr
 	d.NetRecvs++
-	nr.SetOnComplete(func(r *nmad.Request) {
-		st := r.Status()
-		_, _, mpiTag := decodeTag(st.Tag)
-		req.SetRecvStatus(int32(st.Peer), mpiTag, st.Len, st.Truncated)
-		d.nm.Owe(d.cfg.GenericRecv)
-		d.p.RemovePosted(req)
-		req.Complete()
-	})
+	nr.User = req
+	nr.SetOnComplete(d.onRecvDone)
+}
+
+// recvDone completes the CH3 request paired with a finished receive.
+func (d *Direct) recvDone(nr *nmad.Request) {
+	req := nr.User.(*ch3.Request)
+	d.deliver(nr, req)
+	d.p.RemovePosted(req)
+	req.Complete()
+}
+
+// deliver copies a finished NewMadeleine receive's status into its CH3
+// request, charges the generic-interface overhead and releases nr.
+func (d *Direct) deliver(nr *nmad.Request, req *ch3.Request) {
+	st := nr.Status()
+	nr.Release()
+	_, _, mpiTag := decodeTag(st.Tag)
+	req.SetRecvStatus(int32(st.Peer), mpiTag, st.Len, st.Truncated)
+	d.nm.Owe(d.cfg.GenericRecv)
 }
 
 // PostRecvAny implements ch3.NetBackend: the request joins (or opens) the
@@ -189,10 +214,7 @@ func (d *Direct) Progress() (int, vtime.Duration) {
 		d.p.RemovePosted(head)
 		list := l
 		finish := func(r *nmad.Request) {
-			st := r.Status()
-			_, _, mpiTag := decodeTag(st.Tag)
-			head.SetRecvStatus(int32(st.Peer), mpiTag, st.Len, st.Truncated)
-			d.nm.Owe(d.cfg.GenericRecv)
+			d.deliver(r, head)
 			head.Complete()
 			for _, q := range d.as.popHead(list) {
 				d.postNmad(q)
@@ -200,7 +222,6 @@ func (d *Direct) Progress() (int, vtime.Duration) {
 		}
 		rt, rmask := recvTagMask(ctx, gate.PeerRank, tag)
 		nr := d.nm.IRecv(gate, rt, rmask, head.Buffer())
-		head.Nmad = nr
 		events++
 		// An eager message completes synchronously; a probed RTS completes
 		// when the rendezvous payload lands.

@@ -74,6 +74,10 @@ type Endpoint struct {
 
 	handler Handler
 	notify  func()
+	// visible is the engine event senders schedule for each cell they
+	// enqueue here: it calls whatever notify is installed when it fires.
+	// Bound once, so a fragment builds no closure.
+	visible func()
 
 	// Stats.
 	CellsSent int64
@@ -88,11 +92,13 @@ func NewEndpoint(e *vtime.Engine, rank int, opt Options) (*Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Endpoint{
+	ep := &Endpoint{
 		e: e, rank: rank, opt: opt, pool: pool,
 		peers:  map[int]*Endpoint{},
 		notify: func() {},
-	}, nil
+	}
+	ep.visible = func() { ep.notify() }
+	return ep, nil
 }
 
 // Rank returns the owning rank.
@@ -144,8 +150,7 @@ func (ep *Endpoint) TrySendFragment(dst int, hdr shmq.Header, frag []byte) (vtim
 	ep.opt.Rec.Instant("nemesis", "cell-send",
 		trace.Int64("dst", int64(dst)), trace.Int64("bytes", int64(len(frag))))
 	cost := ep.opt.EnqueueCost + ep.opt.DequeueCost + copyCost(len(frag), ep.opt.MemBW)
-	notifyPeer := peer
-	ep.e.After(ep.opt.Visibility, func() { notifyPeer.notify() })
+	ep.e.After(ep.opt.Visibility, peer.visible)
 	return cost, true
 }
 

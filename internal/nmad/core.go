@@ -2,6 +2,7 @@ package nmad
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -80,12 +81,48 @@ type Gate struct {
 	PeerRank int
 	peerNode int
 
-	outlist []*Request // packs awaiting strategy scheduling, FIFO
+	outlist fifo[*Request] // packs awaiting strategy scheduling
 	// sendFifo holds posted-but-uncompleted sends per tag, in submission
-	// order (the completion-ordering guarantee of finishSend).
-	sendFifo  map[uint64][]*Request
-	nextSeq   uint32
+	// order (the completion-ordering guarantee of finishSend), linked
+	// through Request.next.
+	sendFifo map[uint64]sendQueue
+	nextSeq  uint32
+	// kicked mirrors membership in the owner's kicked queue.
+	kicked    bool
 	idleArmed bool
+	idleKick  func() // engine-context re-kick, built at the first armIdleKick
+}
+
+// sendQueue is one (gate, tag) stream's list of uncompleted sends.
+type sendQueue struct{ head, tail *Request }
+
+// fifo is a queue consumed through a head index, as pioman's task queue is:
+// popping zeroes the vacated slot, so no reference outlives its element, and
+// a drained queue rewinds onto its backing array — where `q = q[1:]` burns
+// capacity and reallocates on every message. A queue that never drains
+// compacts once its dead prefix is half of it.
+type fifo[T any] struct {
+	q    []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.q) - f.head }
+func (f *fifo[T]) push(v T) { f.q = append(f.q, v) }
+func (f *fifo[T]) front() T { return f.q[f.head] }
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.q[f.head]
+	f.q[f.head] = zero
+	f.head++
+	switch {
+	case f.head == len(f.q):
+		f.q, f.head = f.q[:0], 0
+	case f.head >= 32 && 2*f.head >= len(f.q):
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	return v
 }
 
 // unexp is an arrived-but-unmatched message (eager payload or RTS).
@@ -96,12 +133,6 @@ type unexp struct {
 	msgLen int
 	data   []byte // copied eager payload
 	packID uint64 // RTS only
-}
-
-// rdvRecv tracks an in-progress rendezvous reception.
-type rdvRecv struct {
-	req       *Request
-	remaining int
 }
 
 type inPw struct {
@@ -119,16 +150,25 @@ type Core struct {
 	strat Strategy
 	gates map[int]*Gate
 
-	inbox      []inPw
+	inbox      fifo[inPw]
 	posted     []*Request
 	unexpected []*unexp
 
 	nextPackID uint64
 	nextRecvID uint64
 	sendRdv    map[uint64]*Request
-	recvRdv    map[uint64]*rdvRecv
+	recvRdv    map[uint64]*Request // in-progress rendezvous receptions
 
-	kicked []*Gate
+	kicked fifo[*Gate]
+
+	// Free lists of released requests and packet wrappers. They fill only
+	// from what traffic releases: nothing is allocated ahead of use.
+	reqFree []*Request
+	pwFree  []*Packet
+
+	// Method values handed to the progress engine and the rails, bound once.
+	runStrategiesFn func()
+	deliverFn       func(simnet.Delivery)
 
 	// owed accumulates costs incurred outside Poll (e.g. matching a posted
 	// receive against the unexpected store); the next Poll charges them.
@@ -152,9 +192,10 @@ func New(e *vtime.Engine, rank, node int, opt Options) *Core {
 		opt:     opt.withDefaults(),
 		gates:   make(map[int]*Gate),
 		sendRdv: make(map[uint64]*Request),
-		recvRdv: make(map[uint64]*rdvRecv),
+		recvRdv: make(map[uint64]*Request),
 	}
 	c.strat = newStrategy(c.opt.Strategy)
+	c.runStrategiesFn, c.deliverFn = c.runStrategies, c.deliverPw
 	return c
 }
 
@@ -215,7 +256,8 @@ func (c *Core) ISend(g *Gate, tag uint64, data []byte) *Request {
 // ride the negative form. Out-of-range hints (and stripe widths that clamp
 // below two rails) fall back to strategy placement.
 func (c *Core) ISendRail(g *Gate, tag uint64, data []byte, rail int) *Request {
-	r := &Request{kind: reqSend, core: c, gate: g, tag: tag, data: data, seq: g.nextSeq}
+	r := c.getReq()
+	*r = Request{kind: reqSend, core: c, gate: g, tag: tag, data: data, seq: g.nextSeq}
 	if rail > 0 && rail <= len(c.opt.Rails) {
 		r.pin = rail
 	} else if rail < 0 && len(c.opt.Rails) >= 2 {
@@ -238,13 +280,41 @@ func (c *Core) ISendRail(g *Gate, tag uint64, data []byte, rail int) *Request {
 		c.opt.Rec.Instant("proto", "net-eager",
 			trace.Int64("dst", int64(g.PeerRank)), trace.Int64("bytes", int64(len(data))))
 	}
-	g.outlist = append(g.outlist, r)
+	g.outlist.push(r)
 	if g.sendFifo == nil {
-		g.sendFifo = make(map[uint64][]*Request)
+		g.sendFifo = make(map[uint64]sendQueue)
 	}
-	g.sendFifo[r.tag] = append(g.sendFifo[r.tag], r)
+	q, ok := g.sendFifo[tag]
+	if ok {
+		q.tail.next = r
+	} else {
+		q.head = r
+	}
+	q.tail = r
+	g.sendFifo[tag] = q
 	c.kick(g)
 	return r
+}
+
+// takeFree pops the most recently released object of a free list, or
+// returns nil when the list is empty.
+func takeFree[T any](free *[]*T) *T {
+	n := len(*free) - 1
+	if n < 0 {
+		return nil
+	}
+	v := (*free)[n]
+	(*free)[n] = nil
+	*free = (*free)[:n]
+	return v
+}
+
+// getReq returns a released request, or allocates when none is free.
+func (c *Core) getReq() *Request {
+	if r := takeFree(&c.reqFree); r != nil {
+		return r
+	}
+	return new(Request)
 }
 
 // finishSend marks a send request's protocol work as done and completes
@@ -262,18 +332,20 @@ func (c *Core) finishSend(r *Request) {
 	r.finished = true
 	g, tag := r.gate, r.tag
 	for {
-		q := g.sendFifo[tag]
-		if len(q) == 0 || !q[0].finished {
+		q, ok := g.sendFifo[tag]
+		if !ok || !q.head.finished {
 			return
 		}
-		if len(q) == 1 {
+		h := q.head
+		if h.next == nil {
 			delete(g.sendFifo, tag)
 		} else {
-			g.sendFifo[tag] = q[1:]
+			q.head, h.next = h.next, nil
+			g.sendFifo[tag] = q
 		}
 		// Pop before completing: the callback may post new sends on this
-		// tag or re-enter finishSend.
-		q[0].complete()
+		// tag, re-enter finishSend or release the request.
+		h.complete()
 	}
 }
 
@@ -282,13 +354,16 @@ func (c *Core) finishSend(r *Request) {
 // If a matching unexpected message has already arrived it is consumed
 // immediately. There is no way to cancel the returned request.
 func (c *Core) IRecv(g *Gate, tag, mask uint64, buf []byte) *Request {
-	r := &Request{
+	r := c.getReq()
+	*r = Request{
 		kind: reqRecv, core: c, gate: g, anyGate: g == nil,
 		tag: tag & mask, mask: mask, buf: buf,
 	}
 	for i, u := range c.unexpected {
 		if c.matchesUnexp(r, u) {
-			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
+			// slices.Delete zeroes the vacated tail slot: the copied payload
+			// is not retained past its delivery.
+			c.unexpected = slices.Delete(c.unexpected, i, i+1)
 			c.UnexpectedHit++
 			c.consumeUnexpected(r, u)
 			return r
@@ -341,7 +416,9 @@ func (c *Core) matchPosted(g *Gate, tag uint64) *Request {
 			continue
 		}
 		if tag&r.mask == r.tag {
-			c.posted = append(c.posted[:i], c.posted[i+1:]...)
+			// The vacated tail slot is zeroed: a stale pointer there would
+			// retain the user buffer and alias the request once recycled.
+			c.posted = slices.Delete(c.posted, i, i+1)
 			return r
 		}
 	}
@@ -385,7 +462,8 @@ func (c *Core) startRdvRecv(r *Request, g *Gate, tag uint64, msgLen int, packID 
 		c.sendControl(g, Entry{Kind: EntryCTS, Tag: tag, PackID: packID, RecvID: id, MsgLen: 0})
 		return
 	}
-	c.recvRdv[id] = &rdvRecv{req: r, remaining: n}
+	r.remaining = n
+	c.recvRdv[id] = r
 	// CTS travels back over the same gate (it connects us to the sender).
 	c.sendControl(g, Entry{Kind: EntryCTS, Tag: tag, PackID: packID, RecvID: id, MsgLen: n})
 }
@@ -393,8 +471,9 @@ func (c *Core) startRdvRecv(r *Request, g *Gate, tag uint64, msgLen int, packID 
 // sendControl submits a single control entry immediately on the
 // lowest-latency rail, bypassing the strategy outlist (control plane).
 func (c *Core) sendControl(g *Gate, en Entry) {
-	pw := &Packet{From: c.rank, To: g.PeerRank, Entries: []Entry{en}}
-	c.submit(g, pw, c.bestRail(0), nil, false)
+	pw := c.getPacket(g)
+	pw.Entries = append(pw.Entries, en)
+	c.submit(pw, c.bestRail(0))
 }
 
 // railFor returns the rail a send pack rides: its pin when set, otherwise
@@ -425,39 +504,38 @@ func (c *Core) bestRail(size int) int {
 	return best
 }
 
+// markKicked queues g for a strategy pass; it reports whether g was not
+// already queued.
+func (c *Core) markKicked(g *Gate) bool {
+	if g.kicked {
+		return false
+	}
+	g.kicked = true
+	c.kicked.push(g)
+	return true
+}
+
 // kick marks g as needing strategy attention and defers a scheduling pass
 // to the progress engine.
 func (c *Core) kick(g *Gate) {
-	for _, k := range c.kicked {
-		if k == g {
-			return
-		}
+	if c.markKicked(g) {
+		c.opt.PostTask(0, c.runStrategiesFn)
 	}
-	c.kicked = append(c.kicked, g)
-	c.opt.PostTask(0, func() { c.runStrategies() })
 }
 
 // kickFromEngine re-arms scheduling from an engine-context event (rail
 // turned idle) and notifies the progress engine.
 func (c *Core) kickFromEngine(g *Gate) {
 	g.idleArmed = false
-	found := false
-	for _, k := range c.kicked {
-		if k == g {
-			found = true
-		}
-	}
-	if !found {
-		c.kicked = append(c.kicked, g)
-	}
+	c.markKicked(g)
 	c.opt.Notify()
 }
 
 // runStrategies drains the kicked set. Runs in progress context.
 func (c *Core) runStrategies() {
-	for len(c.kicked) > 0 {
-		g := c.kicked[0]
-		c.kicked = c.kicked[1:]
+	for c.kicked.len() > 0 {
+		g := c.kicked.pop()
+		g.kicked = false
 		c.strat.Schedule(c, g)
 	}
 }
@@ -470,63 +548,109 @@ func (c *Core) armIdleKick(g *Gate, rail int) {
 		return
 	}
 	g.idleArmed = true
-	at := c.opt.Rails[rail].TxIdleAt(c.node)
-	c.e.At(at, func() { c.kickFromEngine(g) })
+	if g.idleKick == nil {
+		g.idleKick = func() { c.kickFromEngine(g) }
+	}
+	c.e.At(c.opt.Rails[rail].TxIdleAt(c.node), g.idleKick)
 }
 
-// submit sends pw over rail railIdx; sends (may be nil) are the pack
-// requests whose buffers become reusable once submission completes. The
-// host submission cost is charged to whichever progress context executes
-// the deferred task (application thread or PIOMan thread) — this is what
-// makes submission offload observable (§2.2.3, Fig. 7a).
-func (c *Core) submit(g *Gate, pw *Packet, railIdx int, sends []*Request, cachedReg bool) {
-	rail := c.opt.Rails[railIdx]
-	size := pw.WireSize()
-	cost := rail.Params.SubmitEager(size)
-	_ = cachedReg
-	peer := g.peer
-	from, to := c.node, g.peerNode
-	c.opt.PostTask(cost, func() {
-		c.PwsSent++
-		c.EntriesSent += int64(len(pw.Entries))
-		if len(pw.Entries) > 1 {
-			c.Aggregated += int64(len(pw.Entries))
-		}
+// getPacket returns an empty wrapper toward g, from the free list when a
+// released one is there.
+func (c *Core) getPacket(g *Gate) *Packet {
+	pw := takeFree(&c.pwFree)
+	if pw == nil {
+		pw = &Packet{core: c}
+		pw.transmitFn, pw.drainFn = pw.transmit, pw.drain
+	}
+	pw.From, pw.To, pw.gate = c.rank, g.PeerRank, g
+	return pw
+}
+
+// unref drops one pending event's hold on a pooled wrapper; the last one
+// clears what the wrapper references (payload slices, packs, gate) and
+// returns it to its sender's free list.
+func (pw *Packet) unref() {
+	if pw.refs--; pw.refs > 0 {
+		return
+	}
+	clear(pw.Entries)
+	clear(pw.sends)
+	pw.Entries, pw.sends = pw.Entries[:0], pw.sends[:0]
+	pw.gate, pw.rdv = nil, nil
+	pw.core.pwFree = append(pw.core.pwFree, pw)
+}
+
+// submit sends pw over rail railIdx. The host submission cost — eager bounce
+// copy, or registration for a rendezvous data chunk — is charged to
+// whichever progress context executes the deferred task (application thread
+// or PIOMan thread): this is what makes submission offload observable
+// (§2.2.3, Fig. 7a).
+func (c *Core) submit(pw *Packet, railIdx int) {
+	pw.rail, pw.size = railIdx, pw.WireSize()
+	p := c.opt.Rails[railIdx].Params
+	cost := p.SubmitEager(pw.size)
+	if pw.rdv != nil {
+		cost = p.SubmitRdv(pw.size, p.RegCache)
+	}
+	c.opt.PostTask(cost, pw.transmitFn)
+}
+
+// transmit is the deferred submission task of a wrapper: it puts the packet
+// on the wire and schedules the NIC-drain event its packs complete at.
+func (pw *Packet) transmit() {
+	c, g := pw.core, pw.gate
+	rail := c.opt.Rails[pw.rail]
+	c.PwsSent++
+	c.EntriesSent += int64(len(pw.Entries))
+	if len(pw.Entries) > 1 {
+		c.Aggregated += int64(len(pw.Entries))
+	}
+	if pw.rdv != nil {
+		c.opt.Rec.Instant("nmad", "pw-submit-rdv",
+			trace.Int64("dst", int64(pw.To)), trace.Int64("rail", int64(pw.rail)),
+			trace.Int64("bytes", int64(pw.size)))
+	} else {
 		c.opt.Rec.Instant("nmad", "pw-submit",
-			trace.Int64("dst", int64(pw.To)), trace.Int64("rail", int64(railIdx)),
-			trace.Int64("bytes", int64(size)), trace.Int64("entries", int64(len(pw.Entries))))
-		rail.Transfer(from, to, size, pw, peer.deliverPw)
-		// Eager sends complete at *local* completion: when the NIC has
-		// drained the packet onto the wire, not at submission. This is what
-		// a send-completion event from MX/Verbs signals, and what makes
-		// overlap measurable (Fig. 7a).
-		var eager []*Request
-		for _, s := range sends {
-			if s.rdv {
-				continue // rendezvous sends complete when all data is out
-			}
-			eager = append(eager, s)
+			trace.Int64("dst", int64(pw.To)), trace.Int64("rail", int64(pw.rail)),
+			trace.Int64("bytes", int64(pw.size)), trace.Int64("entries", int64(len(pw.Entries))))
+	}
+	pw.refs = 1
+	rail.Transfer(c.node, g.peerNode, pw.size, pw, g.peer.deliverFn)
+	// Eager sends complete at *local* completion: when the NIC has drained
+	// the packet onto the wire, not at submission. This is what a
+	// send-completion event from MX/Verbs signals, and what makes overlap
+	// measurable (Fig. 7a). A rendezvous send completes when its last data
+	// chunk has drained; control wrappers (RTS-only, CTS) need no event.
+	if len(pw.sends) > 0 || pw.rdv != nil {
+		pw.refs++
+		c.e.At(rail.TxIdleAt(c.node), pw.drainFn)
+	}
+}
+
+// drain runs in engine context when the NIC has put the wrapper on the wire.
+func (pw *Packet) drain() {
+	c := pw.core
+	if r := pw.rdv; r != nil {
+		if r.chunks--; r.chunks == 0 {
+			c.finishSend(r)
 		}
-		if len(eager) > 0 {
-			c.e.At(rail.TxIdleAt(from), func() {
-				for _, s := range eager {
-					c.finishSend(s)
-				}
-				c.opt.Notify()
-			})
-		}
-	})
+	}
+	for _, s := range pw.sends {
+		c.finishSend(s)
+	}
+	c.opt.Notify()
+	pw.unref()
 }
 
 // deliverPw runs in engine context when a packet wrapper reaches this
 // process's NIC.
 func (c *Core) deliverPw(d simnet.Delivery) {
-	c.inbox = append(c.inbox, inPw{pw: d.Payload.(*Packet), consume: d.ConsumeCost})
+	c.inbox.push(inPw{pw: d.Payload.(*Packet), consume: d.ConsumeCost})
 	c.opt.Notify()
 }
 
 // HasPending reports whether any inbox entries or kicked gates await Poll.
-func (c *Core) HasPending() bool { return len(c.inbox) > 0 || len(c.kicked) > 0 || c.owed > 0 }
+func (c *Core) HasPending() bool { return c.inbox.len() > 0 || c.kicked.len() > 0 || c.owed > 0 }
 
 // SourceName implements pioman.Source.
 func (c *Core) SourceName() string { return fmt.Sprintf("nmad[%d]", c.rank) }
@@ -540,9 +664,8 @@ func (c *Core) Poll() (int, vtime.Duration) {
 	cost := c.owed
 	c.owed = 0
 	c.runStrategies()
-	for len(c.inbox) > 0 {
-		in := c.inbox[0]
-		c.inbox = c.inbox[1:]
+	for c.inbox.len() > 0 {
+		in := c.inbox.pop()
 		events++
 		c.PwsRecv++
 		c.opt.Rec.Instant("nmad", "pw-recv",
@@ -552,6 +675,7 @@ func (c *Core) Poll() (int, vtime.Duration) {
 		for _, en := range in.pw.Entries {
 			cost += c.handleEntry(in.pw.From, en)
 		}
+		in.pw.unref()
 	}
 	// Completion callbacks run by handleEntry may have accrued more owed
 	// cost (e.g. the module's generic-interface overhead); flush it into
@@ -604,15 +728,15 @@ func (c *Core) handleEntry(fromRank int, en Entry) vtime.Duration {
 		delete(c.sendRdv, en.PackID)
 		c.sendRdvData(r, en.RecvID, en.MsgLen)
 	case EntryData:
-		st := c.recvRdv[en.RecvID]
-		if st == nil {
+		r := c.recvRdv[en.RecvID]
+		if r == nil {
 			panic(fmt.Sprintf("nmad[%d]: data for unknown recv %d", c.rank, en.RecvID))
 		}
-		copy(st.req.buf[en.Offset:], en.Data)
-		st.remaining -= len(en.Data)
-		if st.remaining <= 0 {
+		copy(r.buf[en.Offset:], en.Data)
+		r.remaining -= len(en.Data)
+		if r.remaining <= 0 {
 			delete(c.recvRdv, en.RecvID)
-			st.req.complete()
+			r.complete()
 		}
 	}
 	return cost
@@ -649,41 +773,12 @@ func (c *Core) sendRdvData(r *Request, recvID uint64, grant int) {
 	default:
 		shares = c.strat.SplitRdv(c, len(data))
 	}
-	outstanding := len(shares)
+	r.chunks = len(shares)
 	for _, sh := range shares {
-		chunk := data[sh.Offset : sh.Offset+sh.Len]
-		en := Entry{Kind: EntryData, Tag: r.tag, RecvID: recvID, Offset: sh.Offset,
-			MsgLen: len(data), Data: chunk}
-		pw := &Packet{From: c.rank, To: r.gate.PeerRank, Entries: []Entry{en}}
-		rail := c.opt.Rails[sh.Rail]
-		cached := rail.Params.RegCache
-		last := r
-		c.submitRdvChunk(r.gate, pw, sh.Rail, cached, func() {
-			outstanding--
-			if outstanding == 0 {
-				c.finishSend(last)
-			}
-		})
+		pw := c.getPacket(r.gate)
+		pw.rdv = r
+		pw.Entries = append(pw.Entries, Entry{Kind: EntryData, Tag: r.tag, RecvID: recvID,
+			Offset: sh.Offset, MsgLen: len(data), Data: data[sh.Offset : sh.Offset+sh.Len]})
+		c.submit(pw, sh.Rail)
 	}
-}
-
-func (c *Core) submitRdvChunk(g *Gate, pw *Packet, railIdx int, cachedReg bool, onSubmitted func()) {
-	rail := c.opt.Rails[railIdx]
-	size := pw.WireSize()
-	cost := rail.Params.SubmitRdv(size, cachedReg)
-	peer := g.peer
-	from, to := c.node, g.peerNode
-	c.opt.PostTask(cost, func() {
-		c.PwsSent++
-		c.EntriesSent++
-		c.opt.Rec.Instant("nmad", "pw-submit-rdv",
-			trace.Int64("dst", int64(pw.To)), trace.Int64("rail", int64(railIdx)),
-			trace.Int64("bytes", int64(size)))
-		rail.Transfer(from, to, size, pw, peer.deliverPw)
-		done := onSubmitted
-		c.e.At(rail.TxIdleAt(from), func() {
-			done()
-			c.opt.Notify()
-		})
-	})
 }

@@ -78,12 +78,17 @@ func newStrategy(k StrategyKind) Strategy {
 	}
 }
 
-// packEntry converts a send pack into its wire entry (eager data or RTS).
-func packEntry(c *Core, r *Request) Entry {
+// add appends send pack r to the wrapper as its wire entry: an RTS for a
+// rendezvous pack, or the eager data — whose pack then finishes when the
+// wrapper has drained.
+func (pw *Packet) add(r *Request) {
+	en := Entry{Kind: EntryEager, Tag: r.tag, Seq: r.seq, MsgLen: len(r.data), Data: r.data}
 	if r.rdv {
-		return Entry{Kind: EntryRTS, Tag: r.tag, Seq: r.seq, MsgLen: len(r.data), PackID: r.id}
+		en.Kind, en.Data, en.PackID = EntryRTS, nil, r.id
+	} else {
+		pw.sends = append(pw.sends, r)
 	}
-	return Entry{Kind: EntryEager, Tag: r.tag, Seq: r.seq, MsgLen: len(r.data), Data: r.data}
+	pw.Entries = append(pw.Entries, en)
 }
 
 // ---- strat_default -------------------------------------------------------
@@ -93,11 +98,11 @@ type stratDefault struct{}
 func (stratDefault) Name() string { return "default" }
 
 func (stratDefault) Schedule(c *Core, g *Gate) {
-	for len(g.outlist) > 0 {
-		r := g.outlist[0]
-		g.outlist = g.outlist[1:]
-		pw := &Packet{From: c.rank, To: g.PeerRank, Entries: []Entry{packEntry(c, r)}}
-		c.submit(g, pw, c.railFor(r), []*Request{r}, false)
+	for g.outlist.len() > 0 {
+		r := g.outlist.pop()
+		pw := c.getPacket(g)
+		pw.add(r)
+		c.submit(pw, c.railFor(r))
 	}
 }
 
@@ -112,8 +117,8 @@ type stratAggreg struct{}
 func (stratAggreg) Name() string { return "aggreg" }
 
 func (stratAggreg) Schedule(c *Core, g *Gate) {
-	for len(g.outlist) > 0 {
-		head := g.outlist[0]
+	for g.outlist.len() > 0 {
+		head := g.outlist.front()
 		rail := c.railFor(head)
 		if c.opt.Rails[rail].Busy(c.node) {
 			// NIC busy: keep the window of packets and revisit when idle.
@@ -122,11 +127,10 @@ func (stratAggreg) Schedule(c *Core, g *Gate) {
 		}
 		// NIC idle: submit the head pack, aggregating as many queued small
 		// packs as fit under AggregMax into the same packet wrapper.
-		var entries []Entry
-		var sends []*Request
+		pw := c.getPacket(g)
 		payload := 0
-		for len(g.outlist) > 0 {
-			r := g.outlist[0]
+		for g.outlist.len() > 0 {
+			r := g.outlist.front()
 			if r.pin != head.pin {
 				// Differently-pinned packs must not share a wrapper: the
 				// wrapper rides one rail and cross-aggregating would silently
@@ -137,16 +141,13 @@ func (stratAggreg) Schedule(c *Core, g *Gate) {
 			if r.rdv {
 				sz = 0 // RTS entries are header-only
 			}
-			if len(entries) > 0 && payload+sz > c.opt.AggregMax {
+			if len(pw.Entries) > 0 && payload+sz > c.opt.AggregMax {
 				break
 			}
-			g.outlist = g.outlist[1:]
-			entries = append(entries, packEntry(c, r))
-			sends = append(sends, r)
+			pw.add(g.outlist.pop())
 			payload += sz
 		}
-		pw := &Packet{From: c.rank, To: g.PeerRank, Entries: entries}
-		c.submit(g, pw, rail, sends, false)
+		c.submit(pw, rail)
 	}
 }
 

@@ -55,8 +55,8 @@ const (
 // Entry is one logical unit inside a packet wrapper.
 type Entry struct {
 	Kind EntryKind
-	Tag  uint64
 	Seq  uint32
+	Tag  uint64
 	// MsgLen is the total message length (RTS announces it; eager carries
 	// len(Data) == MsgLen).
 	MsgLen int
@@ -73,9 +73,33 @@ func (en Entry) wireSize() int { return entryHeaderBytes + len(en.Data) }
 
 // Packet is a packet wrapper: one wire transmission possibly aggregating
 // several entries bound for the same gate (destination process).
+//
+// Wrappers built by a Core are pooled: besides the wire content they carry
+// the state of their own submission (rail, packs to finish when the NIC
+// drains) and the two callbacks of that submission, bound once when the
+// wrapper is first allocated — so scheduling, submitting, transferring and
+// draining a message builds no closure and no slice. A wrapper returns to its
+// sender's free list, entries and packs cleared but their capacity kept, when
+// both ends are through with it (see unref).
 type Packet struct {
 	From, To int // ranks
 	Entries  []Entry
+
+	core *Core // sender; nil for a hand-built packet
+	gate *Gate
+	rail int
+	size int // WireSize at submission
+	// sends are the eager packs aggregated into the wrapper: they finish when
+	// the NIC has drained it onto the wire. Rendezvous packs (RTS entries)
+	// are absent — they finish when their data chunks have drained.
+	sends []*Request
+	// rdv is the pack a rendezvous data chunk belongs to, nil otherwise.
+	rdv *Request
+	// refs counts the pending events still holding the wrapper: the delivery
+	// (released by the receiver's Poll) and, when scheduled, the NIC drain.
+	refs int
+
+	transmitFn, drainFn func()
 }
 
 // WireSize is the number of bytes the packet occupies on the wire.
@@ -111,9 +135,22 @@ const (
 // paper). Requests are allocated internally by ISend/IRecv; they cannot be
 // cancelled — once posted, a request must eventually complete (§2.2.1).
 type Request struct {
-	kind reqKind
 	core *Core
+
+	// State flags, kept together so the struct packs (requests are pooled:
+	// their size is live heap while they wait on a free list).
+	kind reqKind
 	done bool
+	// rdv marks a send that goes through the rendezvous protocol.
+	rdv bool
+	// finished marks a send whose protocol work is done; actual completion
+	// is deferred until every earlier send on the same gate has finished
+	// (FIFO completion order, enforced by Core.finishSend).
+	finished bool
+	// anyGate marks a receive posted on no particular gate (any source).
+	anyGate bool
+	// released marks a request sitting on its core's free list.
+	released bool
 
 	// Send side.
 	gate *Gate
@@ -121,23 +158,27 @@ type Request struct {
 	data []byte
 	seq  uint32
 	id   uint64
-	rdv  bool
 	// pin, when non-zero, pins this pack to rail pin-1 instead of letting
 	// the strategy place it (the collective engine's stripe assignments ride
 	// this; see Core.ISendRail).
 	pin int
-	// finished marks a send whose protocol work is done; actual completion
-	// is deferred until every earlier send on the same gate has finished
-	// (FIFO completion order, enforced by Core.finishSend).
-	finished bool
-	// acked counts rendezvous payload bytes known to have left/arrived.
-	acked int
+	// next links the posted-but-uncompleted sends of one (gate, tag) stream
+	// in submission order (Gate.sendFifo).
+	next *Request
+	// chunks counts the rendezvous data chunks not yet drained by the NIC.
+	chunks int
 
 	// Recv side.
-	mask    uint64
-	buf     []byte
-	anyGate bool
-	status  Status
+	mask   uint64
+	buf    []byte
+	status Status
+	// remaining counts the rendezvous payload bytes still to arrive.
+	remaining int
+
+	// User is the owner's context, untouched by the library: a completion
+	// callback shared by every request of a module reads its per-request
+	// state here instead of capturing it in a closure per message.
+	User interface{}
 
 	// OnComplete, if set, runs exactly once when the request completes,
 	// in progress context. The MPICH2 module uses it to mark the paired
@@ -166,7 +207,22 @@ func (r *Request) Status() Status { return r.status }
 // IsRecv reports whether this is a receive request.
 func (r *Request) IsRecv() bool { return r.kind == reqRecv }
 
+// Release hands a completed request back to its core for reuse; the caller
+// must not touch it afterwards (the library itself never does once complete
+// has run). Releasing is optional: an unreleased request is simply collected.
+func (r *Request) Release() {
+	if !r.done || r.released {
+		panic("nmad: Release of an in-flight or already released request")
+	}
+	c := r.core
+	*r = Request{core: c, released: true} // drops the buffer and callback references
+	c.reqFree = append(c.reqFree, r)
+}
+
 func (r *Request) complete() {
+	if r.released {
+		panic("nmad: completion of a released request")
+	}
 	if r.done {
 		return
 	}

@@ -163,6 +163,9 @@ type Rail struct {
 	// dist maps a node pair to its topology distance (crossed tiers); nil
 	// means flat (distance 0 everywhere).
 	dist func(from, to int) int
+	// free holds the landed in-flight records for reuse; it fills only from
+	// transfers that completed, so its size is the rail's peak in-flight count.
+	free []*inflight
 	// Stats
 	Packets   int64
 	BytesSent int64
@@ -219,6 +222,26 @@ type Delivery struct {
 	ConsumeCost vtime.Duration
 }
 
+// inflight is one packet on the wire: what Transfer hands the engine instead
+// of a closure per packet. land is bound to fire once, when the record is
+// first allocated.
+type inflight struct {
+	rail *Rail
+	d    Delivery
+	fn   func(Delivery)
+	fire func()
+}
+
+// land runs in engine context when the last byte reaches the destination
+// NIC: the record goes back to the rail (payload reference dropped) before
+// the consumer runs, which may itself start transfers.
+func (f *inflight) land() {
+	d, fn := f.d, f.fn
+	f.d, f.fn = Delivery{}, nil
+	f.rail.free = append(f.rail.free, f)
+	fn(d)
+}
+
 // Transfer places size bytes on the wire from node `from` to node `to`.
 // The caller is responsible for charging host submission cost *before*
 // calling Transfer (see RailParams.SubmitCost). onDelivered runs in engine
@@ -263,11 +286,21 @@ func (r *Rail) Transfer(from, to, size int, payload interface{}, onDelivered fun
 	r.Packets++
 	r.BytesSent += int64(size)
 
-	d := Delivery{
+	var f *inflight
+	if n := len(r.free); n > 0 {
+		f = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	} else {
+		f = &inflight{rail: r}
+		f.fire = f.land
+	}
+	f.d = Delivery{
 		Rail: r, From: from, To: to, Size: size, Payload: payload,
 		ConsumeCost: r.Params.RecvPerMsgHost,
 	}
-	r.e.At(deliver, func() { onDelivered(d) })
+	f.fn = onDelivered
+	r.e.At(deliver, f.fire)
 }
 
 // TxIdleAt reports the earliest time node's NIC can begin a new transmission.

@@ -192,11 +192,15 @@ func (r *Recorder) tid() int {
 	return cur.Label()
 }
 
-func (r *Recorder) emit(ev Event) {
+// emit stamps and appends ev with a private copy of args. The copy is what
+// keeps the variadic slices of every instrumented call site on the caller's
+// stack: args never escapes, so a site costs nothing when r is nil.
+func (r *Recorder) emit(ev Event, args []Arg) {
 	r.t.seq++
 	ev.Seq = r.t.seq
 	ev.Rank = r.rank
 	ev.Ts = r.t.e.Now()
+	ev.Args = append([]Arg(nil), args...)
 	r.t.events = append(r.t.events, ev)
 }
 
@@ -207,7 +211,7 @@ func (r *Recorder) Begin(cat, name string, args ...Arg) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Tid: r.tid(), Ph: 'B', Cat: cat, Name: name, Args: args})
+	r.emit(Event{Tid: r.tid(), Ph: 'B', Cat: cat, Name: name}, args)
 }
 
 // End closes the innermost open span on the current thread track.
@@ -215,7 +219,7 @@ func (r *Recorder) End() {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Tid: r.tid(), Ph: 'E'})
+	r.emit(Event{Tid: r.tid(), Ph: 'E'}, nil)
 }
 
 var noopEnd = func() {}
@@ -235,7 +239,7 @@ func (r *Recorder) Instant(cat, name string, args ...Arg) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Tid: r.tid(), Ph: 'i', Cat: cat, Name: name, Args: args})
+	r.emit(Event{Tid: r.tid(), Ph: 'i', Cat: cat, Name: name}, args)
 }
 
 // AsyncBegin opens an async operation and returns its id (0 when
@@ -248,7 +252,7 @@ func (r *Recorder) AsyncBegin(cat, name string, args ...Arg) int64 {
 	}
 	r.t.nextID++
 	id := r.t.nextID
-	r.emit(Event{Tid: r.tid(), Ph: 'b', Cat: cat, Name: name, ID: id, Args: args})
+	r.emit(Event{Tid: r.tid(), Ph: 'b', Cat: cat, Name: name, ID: id}, args)
 	return id
 }
 
@@ -257,7 +261,7 @@ func (r *Recorder) AsyncEnd(cat, name string, id int64, args ...Arg) {
 	if r == nil {
 		return
 	}
-	r.emit(Event{Tid: r.tid(), Ph: 'e', Cat: cat, Name: name, ID: id, Args: args})
+	r.emit(Event{Tid: r.tid(), Ph: 'e', Cat: cat, Name: name, ID: id}, args)
 }
 
 // Complete records a finished slice [start, now] on an explicit thread
@@ -269,7 +273,7 @@ func (r *Recorder) Complete(cat, name string, tid int, start vtime.Time, args ..
 	}
 	now := r.t.e.Now()
 	r.emit(Event{Tid: tid, Ph: 'X', Cat: cat, Name: name,
-		Dur: vtime.Duration(now - start), Args: args})
+		Dur: vtime.Duration(now - start)}, args)
 	// emit stamped Ts=now; rewrite to the slice's start.
 	r.t.events[len(r.t.events)-1].Ts = start
 }

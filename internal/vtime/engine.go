@@ -12,7 +12,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -62,24 +61,62 @@ type event struct {
 	proc *Proc // non-nil for a proc wakeup event
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before is the engine's total order: time, then scheduling sequence. seq is
+// unique, so two events never compare equal and the pop order is fixed by
+// the pushes alone — not by the heap's shape.
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// eventHeap is a binary min-heap of events held by value: scheduling an
+// event writes a slot of the backing array instead of allocating a node.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = ev
+	*h = s
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{} // drop the callback and proc references
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && s[c+1].before(&s[c]) {
+				c++
+			}
+			if !s[c].before(&last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
+		}
+		s[i] = last
+	}
+	*h = s
+	return top
 }
 
 // Engine is a discrete-event simulation driver. The zero value is not usable;
@@ -125,7 +162,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("vtime: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.events, &event{t: t, seq: e.seq, fn: fn})
+	e.events.push(event{t: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
@@ -142,7 +179,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, resume: make(chan struct{})}
 	e.live++
 	e.seq++
-	heap.Push(&e.events, &event{t: e.now, seq: e.seq, proc: p})
+	e.events.push(event{t: e.now, seq: e.seq, proc: p})
 	go func() {
 		<-p.resume // wait for the engine to run us the first time
 		fn(p)
@@ -159,7 +196,7 @@ func (e *Engine) wake(p *Proc, t Time) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{t: t, seq: e.seq, proc: p})
+	e.events.push(event{t: t, seq: e.seq, proc: p})
 }
 
 // run transfers control to proc p and waits until it yields back.
@@ -198,7 +235,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 			e.now = deadline
 			return nil
 		}
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		e.now = ev.t
 		if ev.proc != nil {
 			if ev.proc.done {
@@ -355,7 +392,11 @@ func (c *Cond) Signal() {
 		return
 	}
 	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	// Shift down and zero the vacated slot: the backing array is reused and
+	// the woken waiter's predicate closure becomes collectable.
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = condWaiter{}
+	c.waiters = c.waiters[:n]
 	c.e.wake(w.p, c.e.now.Add(c.delay))
 }
 

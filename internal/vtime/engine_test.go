@@ -403,3 +403,92 @@ func TestZeroSleepYields(t *testing.T) {
 		}
 	}
 }
+
+// TestEventHeapPopsInSortOrder drives the value-typed heap directly with
+// pushes interleaved with pops and many equal-time ties: every pop must be
+// the (t, seq) minimum of what the heap holds, i.e. exactly what sorting the
+// contents would put first.
+func TestEventHeapPopsInSortOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(20090525))
+	for round := 0; round < 50; round++ {
+		var h eventHeap
+		var ref []event // the same contents, kept sorted
+		seq := int64(0)
+		popOne := func() {
+			got := h.pop()
+			if got.t != ref[0].t || got.seq != ref[0].seq {
+				t.Fatalf("round %d: popped (t=%d, seq=%d), sort order says (t=%d, seq=%d)",
+					round, got.t, got.seq, ref[0].t, ref[0].seq)
+			}
+			ref = ref[1:]
+		}
+		for step := 0; step < 400; step++ {
+			if len(ref) > 0 && rng.Intn(3) == 0 {
+				popOne()
+				continue
+			}
+			seq++
+			ev := event{t: Time(rng.Intn(8)), seq: seq} // 8 instants: ties everywhere
+			h.push(ev)
+			ref = append(ref, ev)
+			sort.Slice(ref, func(a, b int) bool { return ref[a].before(&ref[b]) })
+		}
+		for len(ref) > 0 {
+			popOne()
+		}
+		if len(h) != 0 {
+			t.Fatalf("round %d: %d events left in the heap", round, len(h))
+		}
+	}
+}
+
+// TestSleepAndAtZeroAlloc pins the engine's own cost per event at zero
+// allocations once the heap has reached its steady capacity: a proc wakeup
+// and a timer are slots of the event array, not boxed nodes.
+func TestSleepAndAtZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	noop := func() {}
+	var avg float64
+	e.Spawn("p", func(p *Proc) {
+		step := func() {
+			e.At(e.Now().Add(1), noop)
+			p.Sleep(2)
+		}
+		step() // grow the heap to the capacity the loop needs
+		avg = testing.AllocsPerRun(200, step)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Fatalf("Sleep + At allocate %.2f objects per pair, want 0", avg)
+	}
+}
+
+// TestCondSignalReleasesWaiter: Signal pops through a zeroed slot, so the
+// woken waiter's predicate closure is not retained by the backing array, and
+// the array is reused instead of reallocated per wait.
+func TestCondSignalReleasesWaiter(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e, "test")
+	e.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			c.WaitPred(p, func() bool { return true })
+		}
+	})
+	e.Spawn("signaller", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(1)
+			c.Signal()
+			if c.Waiters() != 0 {
+				t.Errorf("signal %d left %d waiters", i, c.Waiters())
+			}
+			if w := c.waiters[:1][0]; w.p != nil || w.pred != nil {
+				t.Errorf("signal %d left a stale waiter in the vacated slot", i)
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"repro/internal/ch3"
 	"repro/internal/coll"
 	"repro/internal/nbc"
 	"repro/internal/vtime"
@@ -40,23 +41,37 @@ func (c *Comm) SendT(dst int, tag int32, data []byte) {
 	if dst == c.rank {
 		panic("mpi: collective self-send")
 	}
-	r := c.p.Isend(c.proc, c.world(dst), tag, c.collCtx, data)
-	c.mgr.WaitUntil(c.proc, r.Done)
+	c.finishT(c.p.Isend(c.proc, c.world(dst), tag, c.collCtx, data))
 }
 
 // RecvT receives on the collective context.
 func (c *Comm) RecvT(src int, tag int32, buf []byte) int {
-	r := c.p.Irecv(c.proc, c.world(src), tag, c.collCtx, buf)
-	c.mgr.WaitUntil(c.proc, r.Done)
-	return r.Stat.Len
+	return c.finishT(c.p.Irecv(c.proc, c.world(src), tag, c.collCtx, buf))
 }
 
 // SendRecvT performs a concurrent exchange on the collective context.
 func (c *Comm) SendRecvT(dst int, sdata []byte, src int, rbuf []byte, tag int32) int {
 	rr := c.p.Irecv(c.proc, c.world(src), tag, c.collCtx, rbuf)
 	sr := c.p.Isend(c.proc, c.world(dst), tag, c.collCtx, sdata)
+	return c.finishExchangeT(sr, rr)
+}
+
+// finishT waits for one blocking-collective transfer, hands its CH3 request
+// back to the free list and returns the received length (0 for a send).
+func (c *Comm) finishT(r *ch3.Request) int {
+	c.mgr.WaitUntil(c.proc, r.DoneFunc())
+	n := r.Stat.Len
+	c.p.Release(r)
+	return n
+}
+
+// finishExchangeT is finishT for a concurrent send/receive pair.
+func (c *Comm) finishExchangeT(sr, rr *ch3.Request) int {
 	c.mgr.WaitUntil(c.proc, func() bool { return rr.Done() && sr.Done() })
-	return rr.Stat.Len
+	n := rr.Stat.Len
+	c.p.Release(sr)
+	c.p.Release(rr)
+	return n
 }
 
 // SendRailT / SendRecvRailT implement coll.RailPtPt: the striped schedules'
@@ -67,8 +82,7 @@ func (c *Comm) SendRailT(dst int, tag int32, data []byte, rail int) {
 	if dst == c.rank {
 		panic("mpi: collective self-send")
 	}
-	r := c.p.IsendRail(c.proc, c.world(dst), tag, c.collCtx, data, rail)
-	c.mgr.WaitUntil(c.proc, r.Done)
+	c.finishT(c.p.IsendRail(c.proc, c.world(dst), tag, c.collCtx, data, rail))
 }
 
 // SendRecvRailT performs a concurrent exchange whose send half carries a
@@ -76,8 +90,7 @@ func (c *Comm) SendRailT(dst int, tag int32, data []byte, rail int) {
 func (c *Comm) SendRecvRailT(dst int, sdata []byte, src int, rbuf []byte, tag int32, rail int) int {
 	rr := c.p.Irecv(c.proc, c.world(src), tag, c.collCtx, rbuf)
 	sr := c.p.IsendRail(c.proc, c.world(dst), tag, c.collCtx, sdata, rail)
-	c.mgr.WaitUntil(c.proc, func() bool { return rr.Done() && sr.Done() })
-	return rr.Stat.Len
+	return c.finishExchangeT(sr, rr)
 }
 
 // twoLevelApplies reports whether the topology-aware hierarchical variants

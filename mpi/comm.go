@@ -192,49 +192,97 @@ func (c *Comm) ComputeFlops(ops float64) {
 
 // Isend starts a nonblocking send.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
+	r, q := c.isend(dst, tag, data)
+	if q == nil {
+		q = &Request{c: c, r: r}
+	}
+	return q
+}
+
+// isend is the body of Isend. It returns the CH3 request carrying the send,
+// or the finished self-send request when dst is this rank — so the blocking
+// form can wait on the CH3 request alone and hand it back.
+func (c *Comm) isend(dst, tag int, data []byte) (*ch3.Request, *Request) {
 	defer c.span("Isend", trace.Int64("dst", int64(dst)), trace.Int64("bytes", int64(len(data))))()
 	c.checkRank(dst, "Isend")
 	if dst == c.rank {
-		return c.selfIsend(int32(tag), c.ctx, data)
+		return nil, c.selfIsend(int32(tag), c.ctx, data)
 	}
-	return &Request{c: c, r: c.p.Isend(c.proc, c.world(dst), int32(tag), c.ctx, data)}
+	return c.p.Isend(c.proc, c.world(dst), int32(tag), c.ctx, data), nil
 }
 
 // Irecv starts a nonblocking receive; src may be AnySource, tag AnyTag.
 func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
+	r, q := c.irecv(src, tag, buf)
+	if q == nil {
+		q = &Request{c: c, r: r}
+	}
+	return q
+}
+
+// irecv is the body of Irecv, returning like isend.
+func (c *Comm) irecv(src, tag int, buf []byte) (*ch3.Request, *Request) {
 	defer c.span("Irecv", trace.Int64("src", int64(src)))()
 	if src != AnySource {
 		c.checkRank(src, "Irecv")
 	}
 	if src == c.rank {
-		return c.selfIrecv(int32(tag), c.ctx, buf)
+		return nil, c.selfIrecv(int32(tag), c.ctx, buf)
 	}
 	wsrc := src
 	if src != AnySource {
 		wsrc = c.world(src)
 	}
-	return &Request{c: c, r: c.p.Irecv(c.proc, wsrc, int32(tag), c.ctx, buf)}
+	return c.p.Irecv(c.proc, wsrc, int32(tag), c.ctx, buf), nil
 }
 
-// Send is a blocking send.
+// Send is a blocking send. Nothing outlives the call, so it waits on the CH3
+// request itself and returns it to the CH3 free list.
 func (c *Comm) Send(dst, tag int, data []byte) {
 	defer c.span("Send", trace.Int64("dst", int64(dst)), trace.Int64("bytes", int64(len(data))))()
-	c.Wait(c.Isend(dst, tag, data))
+	if r, q := c.isend(dst, tag, data); q != nil {
+		c.Wait(q)
+	} else {
+		c.finish(r)
+	}
 }
 
-// Recv is a blocking receive.
+// Recv is a blocking receive; like Send it recycles its CH3 request.
 func (c *Comm) Recv(src, tag int, buf []byte) Status {
 	defer c.span("Recv", trace.Int64("src", int64(src)))()
-	return c.Wait(c.Irecv(src, tag, buf))
+	r, q := c.irecv(src, tag, buf)
+	if q != nil {
+		return c.Wait(q)
+	}
+	return c.finish(r)
+}
+
+// finish waits for the CH3 request of a blocking call, reads its status and
+// only then hands the request back to the CH3 free list.
+func (c *Comm) finish(r *ch3.Request) Status {
+	c.waitOn(r.DoneFunc())
+	st := c.recvStatus(r)
+	c.p.Release(r)
+	return st
 }
 
 // Wait blocks until the request completes and returns its status (zero
 // Status for sends).
 func (c *Comm) Wait(q *Request) Status {
-	end := c.span("Wait")
-	c.mgr.WaitUntil(c.proc, q.Done)
-	end()
+	if q.r != nil {
+		c.waitOn(q.r.DoneFunc())
+	} else {
+		c.waitOn(q.Done)
+	}
 	return q.status()
+}
+
+// waitOn is the body of every single-request wait: the "Wait" span around a
+// progress-regime wait on done.
+func (c *Comm) waitOn(done func() bool) {
+	end := c.span("Wait")
+	c.mgr.WaitUntil(c.proc, done)
+	end()
 }
 
 // WaitAll blocks until every request completes.
@@ -292,17 +340,23 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 
 func (q *Request) status() Status {
 	if q.r != nil {
-		if q.r.IsRecv() {
-			st := fromCH3(q.r.Stat)
-			st.Source = q.c.localOf(st.Source)
-			return st
-		}
-		return Status{}
+		return q.c.recvStatus(q.r)
 	}
 	if q.st != nil {
 		return *q.st
 	}
 	return Status{}
+}
+
+// recvStatus translates a completed CH3 request's status into this
+// communicator's numbering (zero Status for sends).
+func (c *Comm) recvStatus(r *ch3.Request) Status {
+	if !r.IsRecv() {
+		return Status{}
+	}
+	st := fromCH3(r.Stat)
+	st.Source = c.localOf(st.Source)
+	return st
 }
 
 func (c *Comm) checkRank(r int, op string) {

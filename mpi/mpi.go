@@ -136,10 +136,11 @@ type Config struct {
 	// identical either way; the switch exists for verification and
 	// benchmarking.
 	NoSchedCache bool
-	// NoPooling disables the hot-path free lists (CH3 requests, shm jobs,
-	// nbc ops): every operation allocates fresh. Virtual-time results are
+	// NoPooling disables the CH3 request and shm-job free lists and the nbc
+	// op pool: those operations allocate fresh. Virtual-time results are
 	// identical either way; the switch exists for neutrality verification
-	// and allocation benchmarking.
+	// and allocation benchmarking. It does not reach NewMadeleine's
+	// request/packet-wrapper pools or the rails' in-flight records.
 	NoPooling bool
 	// Pioman tunes background progression beyond the stack's regime
 	// defaults. The zero value is the classic single-worker behavior.
