@@ -9,6 +9,7 @@ package coll
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -161,9 +162,10 @@ func measureCompile(reg Registration, np, iters int) (prims int, bytesPer float6
 // (1024 → 4096) may grow a log-depth rank schedule by at most the log
 // factor, with slack — nowhere near the 4× a hidden O(NP) term would cost.
 // Primitive counts are deterministic and bounded tightly; allocated bytes
-// and compile time are bounded at 2× (log₂ 4096 / log₂ 1024 = 1.2), with
-// compile time re-measured before failing, as host timers share the
-// machine with the rest of the suite.
+// are bounded at 2× (log₂ 4096 / log₂ 1024 = 1.2), compile time at 3×. Host
+// timers share the machine with the rest of the suite and a µs-scale reading
+// can be off by several times, always upwards, so each side's compile time is
+// its minimum over interleaved rounds.
 func TestScheduleBudgetSublinear(t *testing.T) {
 	const loNP, hiNP, iters = 1024, 4096, 200
 	for _, reg := range budgetAlgos {
@@ -179,16 +181,17 @@ func TestScheduleBudgetSublinear(t *testing.T) {
 				t.Errorf("compile allocated %.0fB/rank at NP=%d vs %.0fB at NP=%d; growth is super-logarithmic",
 					hiBytes, hiNP, loBytes, loNP)
 			}
-			// Compile time: linear scaling would be ≥ 4×; assert < 3× on the
-			// best of three measurement rounds to ride out scheduler noise.
-			ok := false
-			var loT, hiT time.Duration
-			for round := 0; round < 3 && !ok; round++ {
-				_, _, loT = measureCompile(reg, loNP, iters)
-				_, _, hiT = measureCompile(reg, hiNP, iters)
-				ok = float64(hiT) < 3*float64(loT)+float64(2*time.Microsecond)
+			// Compile time: linear scaling would be ≥ 4×; assert < 3×.
+			loT, hiT := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+			for round := 0; round < 7; round++ {
+				if _, _, lo := measureCompile(reg, loNP, iters); lo < loT {
+					loT = lo
+				}
+				if _, _, hi := measureCompile(reg, hiNP, iters); hi < hiT {
+					hiT = hi
+				}
 			}
-			if !ok {
+			if float64(hiT) >= 3*float64(loT)+float64(2*time.Microsecond) {
 				t.Errorf("compile time %v at NP=%d vs %v at NP=%d: scaling ~linearly in NP",
 					hiT, hiNP, loT, loNP)
 			}

@@ -1,11 +1,17 @@
 // Package vtime implements a deterministic discrete-event simulation engine.
 //
-// Simulated processes (Proc) are goroutines that execute exactly one at a
-// time under the control of an Engine; they block on virtual-time primitives
-// (Sleep, Cond.Wait) and the engine advances a virtual clock between events.
-// Because at most one goroutine ever runs simulation code at a time and all
-// ordering ties are broken by a monotonically increasing sequence number,
-// every run of a simulation is bit-for-bit deterministic.
+// Simulated processes (Proc) are iter.Pull coroutines that execute exactly
+// one at a time under the control of an Engine; they block on virtual-time
+// primitives (Sleep, Cond.Wait) and the virtual clock advances between events.
+// There is one event loop, Engine.dispatch, and whoever has nothing to do runs
+// it: RunUntil on the caller's stack, a blocking proc on its own. The proc pops
+// and runs timer callbacks itself, returns from Sleep or Wait without any
+// switch when its own wake-up comes up, and switches back to RunUntil only when
+// the next event wakes another proc; RunUntil resumes that one with a direct
+// coroutine switch that bypasses the Go scheduler. Because at most one
+// coroutine ever runs simulation code at a time and all ordering ties are
+// broken by a monotonically increasing sequence number, every run of a
+// simulation is bit-for-bit deterministic.
 //
 // Time is measured in integer nanoseconds (Time). Sub-nanosecond costs are
 // accumulated by callers before being charged.
@@ -13,6 +19,8 @@ package vtime
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 )
 
@@ -122,23 +130,18 @@ func (h *eventHeap) pop() event {
 // Engine is a discrete-event simulation driver. The zero value is not usable;
 // construct with NewEngine.
 type Engine struct {
-	now     Time
-	events  eventHeap
-	seq     int64
-	yield   chan struct{}
-	cur     *Proc
-	live    int              // procs spawned and not yet finished
-	blocked map[*Proc]string // procs waiting on a Cond, with a reason
-	stopped bool
+	now      Time
+	deadline Time // of the RunUntil in progress
+	events   eventHeap
+	seq      int64
+	cur      *Proc
+	procs    []*Proc // every proc spawned, for the deadlock report
+	blocked  int     // procs waiting on a Cond
+	stopped  bool
 }
 
 // NewEngine returns a fresh engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{
-		yield:   make(chan struct{}),
-		blocked: make(map[*Proc]string),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -176,17 +179,21 @@ func (e *Engine) After(d Duration, fn func()) {
 // Spawn creates a new simulated process executing fn and schedules it to
 // start at the current virtual time. The name is used in deadlock reports.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
-	e.live++
-	e.seq++
-	e.events.push(event{t: e.now, seq: e.seq, proc: p})
-	go func() {
-		<-p.resume // wait for the engine to run us the first time
+	p := &Proc{e: e, name: name}
+	e.procs = append(e.procs, p)
+	e.wake(p, e.now)
+	// The coroutine is never stopped: a proc abandoned by Stop, a deadlock or
+	// a panic elsewhere stays parked until process exit.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.done = true
+			if v := recover(); v != nil {
+				panic(&ProcPanicError{Proc: name, Now: e.now, Value: v, Stack: debug.Stack()})
+			}
+		}()
 		fn(p)
-		p.done = true
-		e.live--
-		e.yield <- struct{}{} // return control to the engine forever
-	}()
+	})
 	return p
 }
 
@@ -199,13 +206,41 @@ func (e *Engine) wake(p *Proc, t Time) {
 	e.events.push(event{t: t, seq: e.seq, proc: p})
 }
 
-// run transfers control to proc p and waits until it yields back.
-func (e *Engine) runProc(p *Proc) {
-	prev := e.cur
-	e.cur = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.cur = prev
+// dispatch is the engine's one event loop. RunUntil runs it with self nil
+// until the run is over. A blocking proc runs it on its own stack, callbacks
+// included, until its own wake-up comes up; if the run is over or another
+// proc's wake-up is next, which only RunUntil's stack can switch to, it parks
+// and RunUntil resumes it once it has popped its wake-up.
+func (e *Engine) dispatch(self *Proc) {
+	e.cur = nil
+	for len(e.events) > 0 && !e.stopped && e.events[0].t <= e.deadline {
+		if next := e.events[0].proc; self != nil && next != nil && next != self {
+			break
+		}
+		ev := e.events.pop()
+		e.now = ev.t
+		p := ev.proc
+		if p == nil {
+			ev.fn()
+			continue
+		}
+		if p.done {
+			continue // stale wakeup for a finished proc
+		}
+		if p.blocked {
+			p.blocked = false
+			e.blocked--
+		}
+		e.cur = p
+		if p == self {
+			return
+		}
+		p.next()
+		e.cur = nil
+	}
+	if self != nil {
+		self.yield(struct{}{})
+	}
 }
 
 // DeadlockError reports that the event queue drained while simulated
@@ -220,37 +255,52 @@ func (d *DeadlockError) Error() string {
 		int64(d.Now), len(d.Blocked), d.Blocked)
 }
 
+// ProcPanicError reports that a panic escaped a proc's function, or a
+// callback dispatched on its stack. The other procs are abandoned.
+type ProcPanicError struct {
+	Proc  string
+	Now   Time
+	Value any
+	Stack []byte // of the panicking proc
+}
+
+func (e *ProcPanicError) Error() string {
+	return fmt.Sprintf("vtime: proc %s panicked at t=%dns: %v", e.Proc, int64(e.Now), e.Value)
+}
+
 // Run drives the simulation until the event queue is empty. It returns a
-// *DeadlockError if processes remain blocked with no pending events, nil
-// otherwise. Run must be called from outside any simulated process.
+// *DeadlockError if processes remain blocked with no pending events, a
+// *ProcPanicError if one panicked, nil otherwise. Run must be called from
+// outside any simulated process.
 func (e *Engine) Run() error {
 	return e.RunUntil(Time(1<<62 - 1))
 }
 
 // RunUntil drives the simulation until the event queue is empty or the next
 // event would occur after the deadline. Events exactly at the deadline run.
-func (e *Engine) RunUntil(deadline Time) error {
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].t > deadline {
-			e.now = deadline
-			return nil
-		}
-		ev := e.events.pop()
-		e.now = ev.t
-		if ev.proc != nil {
-			if ev.proc.done {
-				continue // stale wakeup for a finished proc
+func (e *Engine) RunUntil(deadline Time) (err error) {
+	defer func() {
+		// iter.Pull re-raises a proc's panic in next's caller: here.
+		if v := recover(); v != nil {
+			pe, ok := v.(*ProcPanicError)
+			if !ok {
+				panic(v)
 			}
-			delete(e.blocked, ev.proc)
-			e.runProc(ev.proc)
-		} else {
-			ev.fn()
+			err = pe
 		}
+	}()
+	e.deadline = deadline
+	e.dispatch(nil)
+	if len(e.events) > 0 && !e.stopped {
+		e.now = deadline
+		return nil
 	}
-	if len(e.blocked) > 0 {
-		names := make([]string, 0, len(e.blocked))
-		for p, reason := range e.blocked {
-			names = append(names, p.name+": "+reason)
+	if e.blocked > 0 {
+		names := make([]string, 0, e.blocked)
+		for _, p := range e.procs {
+			if p.blocked {
+				names = append(names, p.name+": "+p.reason)
+			}
 		}
 		sort.Strings(names)
 		return &DeadlockError{Now: e.now, Blocked: names}
@@ -259,18 +309,21 @@ func (e *Engine) RunUntil(deadline Time) error {
 }
 
 // Stop makes Run return after the current event completes. Pending events
-// are discarded; blocked procs are abandoned (their goroutines are leaked
+// are discarded; blocked procs are abandoned (their coroutines stay parked
 // until process exit, which is acceptable for short-lived simulations).
 func (e *Engine) Stop() { e.stopped = true }
 
 // Proc is a simulated process. All methods must be called from within the
-// process's own goroutine (i.e. from the fn passed to Spawn), except Name.
+// process's own coroutine (i.e. from the fn passed to Spawn), except Name.
 type Proc struct {
-	e      *Engine
-	name   string
-	label  int
-	resume chan struct{}
-	done   bool
+	e       *Engine
+	name    string
+	label   int
+	next    func() (struct{}, bool) // RunUntil's side of the coroutine
+	yield   func(struct{}) bool     // the proc's side
+	done    bool
+	blocked bool   // waiting on a Cond
+	reason  string // that Cond's, for the deadlock report
 }
 
 // Name returns the name given at Spawn time.
@@ -289,13 +342,6 @@ func (p *Proc) Engine() *Engine { return p.e }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// yield returns control to the engine without scheduling a wakeup. The
-// caller must have arranged for a wakeup (timer or Cond) beforehand.
-func (p *Proc) yield() {
-	p.e.yield <- struct{}{}
-	<-p.resume
-}
-
 // Sleep suspends the process for d of virtual time. Zero or negative d
 // still yields, allowing same-time events to interleave deterministically.
 func (p *Proc) Sleep(d Duration) {
@@ -303,13 +349,14 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	p.e.wake(p, p.e.now.Add(d))
-	p.yield()
+	p.e.dispatch(p)
 }
 
 // block suspends the process until some other party wakes it via engine.wake.
 func (p *Proc) block(reason string) {
-	p.e.blocked[p] = reason
-	p.yield()
+	p.blocked, p.reason = true, reason
+	p.e.blocked++
+	p.e.dispatch(p)
 }
 
 // Cond is a broadcast condition variable in virtual time. Waiters are woken

@@ -1,8 +1,12 @@
 package vtime
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -490,5 +494,206 @@ func TestCondSignalReleasesWaiter(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// procFrame is on the stack of every proc coroutine, and of nothing else:
+// Spawn's closure is its root.
+const procFrame = "vtime.(*Engine).Spawn.func"
+
+// onProcStack reports whether the caller runs on a proc's coroutine stack
+// rather than on RunUntil's.
+func onProcStack() bool { return strings.Contains(string(debug.Stack()), procFrame) }
+
+// TestCallbackOnBlockedProcStack: a blocked proc runs the event loop itself,
+// so a timer due before its wake-up is dispatched on its stack, without a
+// switch — but still in engine context: Current() is nil inside the callback
+// and the proc again once its Sleep or Wait returns. A timer due before any
+// proc has started runs on RunUntil's stack as ever.
+func TestCallbackOnBlockedProcStack(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e, "c")
+	var stacks []bool
+	callback := func() {
+		if e.Current() != nil {
+			t.Errorf("t=%d: Current() = %q inside a callback, want nil", e.Now(), e.Current().Name())
+		}
+		stacks = append(stacks, onProcStack())
+	}
+	e.At(0, callback)
+	var p *Proc
+	p = e.Spawn("p", func(*Proc) {
+		e.At(5, callback)
+		p.Sleep(10)
+		if e.Current() != p {
+			t.Error("Current() is not the proc after Sleep")
+		}
+		e.At(15, func() { callback(); c.Signal() })
+		c.Wait(p)
+		if e.Current() != p || p.Now() != 15 {
+			t.Errorf("after Wait: Current() = %v at t=%d, want the proc at 15", e.Current(), p.Now())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{false, true, true}; len(stacks) != 3 || stacks[0] || !stacks[1] || !stacks[2] {
+		t.Fatalf("callbacks ran on a proc stack: %v, want %v", stacks, want)
+	}
+}
+
+// TestRunUntilParksSleeperPastDeadline: the deadline binds a proc that is
+// running the event loop as it binds RunUntil — the callbacks before it run,
+// the sleeper whose wake-up lies past it does not, and the next RunUntil
+// resumes it.
+func TestRunUntilParksSleeperPastDeadline(t *testing.T) {
+	e := NewEngine()
+	var ran []Time
+	woke := Time(-1)
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(100)
+		woke = p.Now()
+	})
+	for _, at := range []Time{50, 60, 61} {
+		e.At(at, func() { ran = append(ran, e.Now()) })
+	}
+	if err := e.RunUntil(60); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 2 || woke != -1 || e.Now() != 60 {
+		t.Fatalf("at the deadline: callbacks %v, sleeper woke at %d, now %d; want [50 60], -1, 60", ran, woke, e.Now())
+	}
+	if err := e.RunUntil(200); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 3 || woke != 100 || e.Now() != 100 {
+		t.Fatalf("after the second RunUntil: callbacks %v, sleeper woke at %d, now %d; want 3, 100, 100", ran, woke, e.Now())
+	}
+}
+
+// TestStopOnProcStack: Stop ends the run wherever the event loop happens to
+// be running — called from a callback a blocked proc is dispatching, and from
+// a proc that then blocks. Nothing queued behind it runs.
+func TestStopOnProcStack(t *testing.T) {
+	for _, from := range []string{"callback", "proc"} {
+		e := NewEngine()
+		after := 0
+		e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(100)
+			after++
+		})
+		stop := func() {
+			e.At(e.Now(), func() { after++ }) // queued behind the stop, same instant
+			e.Stop()
+		}
+		if from == "callback" {
+			e.At(10, func() {
+				if !onProcStack() {
+					t.Error("the stopping callback was not dispatched on the sleeper's stack")
+				}
+				stop()
+			})
+		} else {
+			e.Spawn("stopper", func(p *Proc) {
+				p.Sleep(10)
+				stop()
+				p.Sleep(1)
+				after++
+			})
+		}
+		e.At(20, func() { after++ })
+		if err := e.RunUntil(1000); err != nil {
+			t.Fatalf("Stop from a %s: %v", from, err)
+		}
+		if after != 0 || e.Now() != 10 {
+			t.Fatalf("Stop from a %s: %d later steps ran, now %d; want 0, 10", from, after, e.Now())
+		}
+	}
+}
+
+// TestProcPanicIsAnError: a panic that escapes a proc — from its function or
+// from a callback it was dispatching — comes back from Run as a
+// *ProcPanicError naming it; one recovered inside the proc changes nothing,
+// and a callback panicking on RunUntil's own stack still panics there.
+func TestProcPanicIsAnError(t *testing.T) {
+	for _, from := range []string{"proc", "callback"} {
+		e := NewEngine()
+		e.Spawn("bystander", func(p *Proc) { p.Sleep(1000) })
+		e.Spawn("victim", func(p *Proc) {
+			func() {
+				defer func() { _ = recover() }()
+				panic("handled")
+			}()
+			if from == "callback" {
+				e.At(7, func() { panic("boom") })
+			}
+			p.Sleep(7)
+			panic("boom")
+		})
+		err := e.Run()
+		var pe *ProcPanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("panic in a %s: err = %v, want *ProcPanicError", from, err)
+		}
+		if pe.Proc != "victim" || pe.Now != 7 || pe.Value != "boom" ||
+			!strings.Contains(string(pe.Stack), "TestProcPanicIsAnError") ||
+			!strings.Contains(pe.Error(), "victim") || !strings.Contains(pe.Error(), "t=7ns") || !strings.Contains(pe.Error(), "boom") {
+			t.Fatalf("panic in a %s: %+v, stack:\n%s", from, pe, pe.Stack)
+		}
+	}
+
+	e := NewEngine()
+	e.At(3, func() { panic("engine-side") })
+	defer func() {
+		if v := recover(); v != "engine-side" {
+			t.Fatalf("recovered %v, want the callback's own panic", v)
+		}
+	}()
+	_ = e.Run()
+	t.Fatal("Run returned after a callback panicked on its stack")
+}
+
+// procGoroutines counts the goroutines that are proc coroutines.
+func procGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, procFrame) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFinishedProcsLeaveNoGoroutine: a proc's coroutine ends with its
+// function. Procs abandoned by a deadlock (or Stop, or a panic elsewhere)
+// are not reaped: each stays parked, one goroutine, until the process exits.
+func TestFinishedProcsLeaveNoGoroutine(t *testing.T) {
+	before := procGoroutines() // those earlier tests abandoned
+	e := NewEngine()
+	s := NewSema(e, "s", 0)
+	for i := 0; i < 10; i++ {
+		e.Spawn("a", func(p *Proc) { p.Sleep(5); s.Release() })
+		e.Spawn("b", func(p *Proc) { s.Acquire(p) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := procGoroutines(); n != before {
+		t.Fatalf("%d proc goroutines after a clean run, %d before it", n, before)
+	}
+
+	e = NewEngine()
+	c := NewCond(e, "never")
+	for i := 0; i < 3; i++ {
+		e.Spawn("stuck", func(p *Proc) { c.Wait(p) })
+	}
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) || len(de.Blocked) != 3 {
+		t.Fatalf("err = %v, want a DeadlockError with 3 procs", err)
+	}
+	if n := procGoroutines(); n != before+3 {
+		t.Fatalf("%d proc goroutines after the deadlock, want the %d from before plus 3 parked", n, before)
 	}
 }

@@ -82,6 +82,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/cluster"
@@ -273,7 +274,9 @@ func (rep *Report) Counters() *CounterSnapshot {
 
 // Run executes main once per rank over the configured stack and cluster. It
 // returns when the simulation drains; an *vtime.DeadlockError means the MPI
-// program deadlocked (with the blocked ranks listed).
+// program deadlocked (with the blocked ranks listed), an error wrapping a
+// *vtime.ProcPanicError that a rank (app3) or one of its progress threads
+// (rank3/pioman-0) panicked.
 func Run(cfg Config, main func(*Comm)) (*Report, error) {
 	if cfg.NP <= 0 {
 		return nil, fmt.Errorf("mpi: NP = %d", cfg.NP)
@@ -422,6 +425,11 @@ func Run(cfg Config, main func(*Comm)) (*Report, error) {
 	}
 
 	if err := e.Run(); err != nil {
+		var pe *vtime.ProcPanicError
+		if errors.As(err, &pe) {
+			// Its message names the thread; the stack is what locates the bug.
+			return nil, fmt.Errorf("mpi: %w\n%s", pe, pe.Stack)
+		}
 		return nil, err
 	}
 

@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/cluster"
@@ -405,6 +408,59 @@ func TestDeadlockDetection(t *testing.T) {
 	})
 	if _, ok := err.(*vtime.DeadlockError); !ok {
 		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+}
+
+// TestRankPanicIsAnError: rank 3 panics while the other three wait for it
+// inside an allreduce. Run returns an error naming the rank's thread, the
+// virtual time and the panic value, with the rank's stack; the host process
+// (this test binary) survives. A panic a rank recovers itself is its own
+// business.
+func TestRankPanicIsAnError(t *testing.T) {
+	_, err := Run(xeonCfg(4, cluster.MPICH2NmadIB().WithPIOMan(true)), func(c *Comm) {
+		func() {
+			defer func() { _ = recover() }()
+			panic("handled in the rank")
+		}()
+		x := []float64{float64(c.Rank())}
+		c.AllreduceF64(x, OpSum)
+		if c.Rank() == 3 {
+			c.Compute(1e-3)
+			panic("bad argument on rank 3")
+		}
+		c.AllreduceF64(x, OpSum)
+	})
+	var pe *vtime.ProcPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want one wrapping *vtime.ProcPanicError", err)
+	}
+	if pe.Proc != "app3" || pe.Now < vtime.Time(vtime.Millisecond) {
+		t.Fatalf("panic attributed to %q at t=%dns, want app3 after its 1 ms of compute", pe.Proc, pe.Now)
+	}
+	for _, want := range []string{"app3", fmt.Sprintf("t=%dns", int64(pe.Now)), "bad argument on rank 3", "TestRankPanicIsAnError"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+}
+
+// TestRunsLeaveNoGoroutines: every thread of a finished world — ranks and
+// PIOMan workers — is a coroutine that ended with its function.
+func TestRunsLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		_, err := Run(xeonCfg(4, cluster.MPICH2NmadIB().WithPIOMan(true)), func(c *Comm) {
+			x := []float64{1}
+			c.AllreduceF64(x, OpSum)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Not !=: the previous test's own goroutine may still have been exiting
+	// when before was read.
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after 50 runs, %d before them", n, before)
 	}
 }
 
