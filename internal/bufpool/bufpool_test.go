@@ -1,0 +1,123 @@
+package bufpool
+
+import "testing"
+
+// TestClassOf: every size lands in the smallest class that holds it, class
+// capacities ascend four to the octave, and a capacity maps back to itself.
+func TestClassOf(t *testing.T) {
+	prevIdx, prevSize := -1, 0
+	total := 0
+	for n := 1; n <= maxSize; n++ {
+		idx, size := classOf(n)
+		if size < n || (n > minSize && size-n >= size/4) {
+			t.Fatalf("classOf(%d) = class %d of %d bytes", n, idx, size)
+		}
+		if idx != prevIdx {
+			if idx != prevIdx+1 || size <= prevSize {
+				t.Fatalf("class %d (%d B) follows class %d (%d B)", idx, size, prevIdx, prevSize)
+			}
+			if i, s := classOf(size); i != idx || s != size {
+				t.Fatalf("capacity %d maps to class %d of %d bytes, want itself", size, i, s)
+			}
+			prevIdx, prevSize = idx, size
+			total += size
+		}
+	}
+	if prevIdx != nClasses-1 || prevSize != maxSize {
+		t.Fatalf("last class %d of %d bytes, want %d of %d", prevIdx, prevSize, nClasses-1, maxSize)
+	}
+	if total*perClass != Budget {
+		t.Fatalf("classes sum to %d bytes x %d, Budget says %d", total, perClass, Budget)
+	}
+}
+
+// TestPoolLifecycle: a burst deeper than a class keeps, handed back and
+// taken again — every buffer has the length asked for, no buffer is out
+// twice at once, a class never keeps more than perClass, and what the first
+// burst returned serves the second.
+func TestPoolLifecycle(t *testing.T) {
+	var p Pool
+	sizes := []int{1, 64, 65, 100, 1000, 6000, 6000, 6144, 40000, maxSize, maxSize + 1}
+	const depth = perClass + 5
+	burst := func() [][]byte {
+		out := make(map[*byte]bool)
+		var bufs [][]byte
+		for i := 0; i < depth; i++ {
+			for _, n := range sizes {
+				b := p.Get(n)
+				if len(b) != n || out[&b[0]] {
+					t.Fatalf("Get(%d): %d bytes, already out = %v", n, len(b), out[&b[0]])
+				}
+				out[&b[0]] = true
+				for j := range b {
+					b[j] = byte(n)
+				}
+				bufs = append(bufs, b)
+			}
+		}
+		return bufs
+	}
+	first := burst()
+	misses := p.Misses
+	if misses != int64(len(first)) || p.Retained() != 0 {
+		t.Fatalf("empty pool: %d misses for %d gets, %d bytes retained", misses, len(first), p.Retained())
+	}
+	for _, b := range first {
+		p.Put(b)
+	}
+	if p.Gets != p.Puts {
+		t.Fatalf("%d gets, %d puts", p.Gets, p.Puts)
+	}
+	for i, list := range p.free {
+		if len(list) > perClass {
+			t.Fatalf("class %d keeps %d buffers", i, len(list))
+		}
+	}
+	if got := p.Retained(); got == 0 || got > Budget {
+		t.Fatalf("%d bytes retained, budget %d", got, Budget)
+	}
+	if poisonOnPut && first[len(sizes)-2][0] != 0xdb {
+		t.Fatal("a retained buffer was not poisoned")
+	}
+	burst()
+	// Sizes that share a class (1 and 64; 6000 and 6144) draw on one class's
+	// kept buffers; maxSize+1 is never kept.
+	classes := make(map[int]bool)
+	for _, n := range sizes[:len(sizes)-1] {
+		idx, _ := classOf(n)
+		classes[idx] = true
+	}
+	kept := int64(perClass * len(classes))
+	if got := p.Misses - misses; got != int64(len(first))-kept {
+		t.Fatalf("second burst allocated %d buffers, want %d", got, int64(len(first))-kept)
+	}
+	p.Put(nil)
+	p.Put(make([]byte, 100)) // not one of ours: dropped
+	if p.Get(0) != nil {
+		t.Fatal("Get(0) must not hand out a buffer")
+	}
+}
+
+// TestRecords: records come back zeroed, and the list keeps a bounded number.
+func TestRecords(t *testing.T) {
+	type rec struct {
+		a int
+		b []byte
+	}
+	var rs Records[rec]
+	var out []*rec
+	for i := 0; i < maxRecords+10; i++ {
+		r := rs.Get()
+		*r = rec{a: i, b: make([]byte, 1)}
+		out = append(out, r)
+	}
+	for _, r := range out {
+		rs.Put(r)
+	}
+	if len(rs.free) != maxRecords {
+		t.Fatalf("list keeps %d records, cap %d", len(rs.free), maxRecords)
+	}
+	if r := rs.Get(); r.a != 0 || r.b != nil {
+		t.Fatalf("recycled record not zeroed: %+v", *r)
+	}
+}

@@ -3,6 +3,7 @@ package ch3
 import (
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/nemesis"
 	"repro/internal/pioman"
 	"repro/internal/shmq"
@@ -28,9 +29,13 @@ type Config struct {
 	// in-flight-requests gauge under canonical names; nil keeps standalone
 	// counters.
 	Metrics *trace.Registry
+	// Bufs is the store unexpected eager payloads are buffered in; a world
+	// shares one across its ranks. Nil gives the process one of its own.
+	Bufs *bufpool.Pool
 	// NoPooling disables this layer's request and shm-job free lists: every
 	// operation allocates fresh and Release is a no-op. Virtual-time results
 	// are identical either way; the switch exists for neutrality verification.
+	// It does not reach the unexpected queue's records and buffers (Bufs).
 	NoPooling bool
 }
 
@@ -40,6 +45,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CTSCost == 0 {
 		c.CTSCost = 50
+	}
+	if c.Bufs == nil {
+		c.Bufs = new(bufpool.Pool)
 	}
 	return c
 }
@@ -143,6 +151,7 @@ type Process struct {
 	// point-to-point and nonblocking-collective hot paths stop allocating.
 	reqFree []*Request
 	jobFree []*shmJob
+	uqFree  bufpool.Records[uqEntry]
 
 	// Pool statistics and the live in-flight gauge, cached off cfg.Metrics
 	// at construction so the hot path never does a registry lookup.
@@ -340,6 +349,13 @@ func (p *Process) putJob(j *shmJob) {
 	p.jobFree = append(p.jobFree, j)
 }
 
+// putUq recycles an entry taken off the unexpected queue, and its payload
+// buffer, once the receive that matched it has copied the payload out.
+func (p *Process) putUq(u *uqEntry) {
+	p.cfg.Bufs.Put(u.data)
+	p.uqFree.Put(u)
+}
+
 // track mirrors a freshly issued request on the in-flight gauge; Complete
 // decrements it.
 func (p *Process) track(r *Request) {
@@ -494,6 +510,7 @@ func (p *Process) tryUnexpected(r *Request) (vtime.Duration, bool) {
 	if u == nil {
 		return 0, false
 	}
+	defer p.putUq(u)
 	if u.isRTS {
 		return p.startRdvRecv(r, u.src, u.tag, u.msgLen, u.rtsCookie, u.org), true
 	}
@@ -769,8 +786,9 @@ func (p *Process) handleEagerFrag(hdr shmq.Header, payload []byte, org Origin) v
 	// Unexpected: buffer the whole message (the extra copy of §2.1.3).
 	p.rec.Instant("proto", "unexpected",
 		trace.Int64("src", int64(hdr.Src)), trace.Int64("bytes", int64(msgLen)))
-	u := &uqEntry{ctx: hdr.Ctx, src: hdr.Src, tag: hdr.Tag, msgLen: msgLen,
-		data: make([]byte, msgLen), org: org}
+	u := p.uqFree.Get()
+	*u = uqEntry{ctx: hdr.Ctx, src: hdr.Src, tag: hdr.Tag, msgLen: msgLen,
+		data: p.cfg.Bufs.Get(msgLen), org: org}
 	n := copy(u.data, payload)
 	cost := copyCost(n, p.ShmMemBW())
 	p.UnexpectedLen++
@@ -791,9 +809,10 @@ func (p *Process) handleRTS(hdr shmq.Header, org Origin) vtime.Duration {
 	if r := p.MatchPosted(hdr.Ctx, hdr.Src, hdr.Tag); r != nil {
 		return p.startRdvRecv(r, hdr.Src, hdr.Tag, int(hdr.MsgLen), hdr.ReqID, org)
 	}
-	p.uq.add(&uqEntry{ctx: hdr.Ctx, src: hdr.Src, tag: hdr.Tag,
-		msgLen: int(hdr.MsgLen), isRTS: true, rtsCookie: hdr.ReqID, org: org},
-		p.nextQSeq())
+	u := p.uqFree.Get()
+	*u = uqEntry{ctx: hdr.Ctx, src: hdr.Src, tag: hdr.Tag,
+		msgLen: int(hdr.MsgLen), isRTS: true, rtsCookie: hdr.ReqID, org: org}
+	p.uq.add(u, p.nextQSeq())
 	p.UnexpectedLen++
 	return 0
 }

@@ -105,7 +105,7 @@ func BuildAllreduceRabenseifner(rank, size int, x []float64, op Op) *Schedule {
 	}
 	n := len(x)
 	win := rabBoundaries(size, n)
-	rbuf := make([]byte, 8*((n+1)/2))
+	rbuf := make([]float64, (n+1)/2)
 
 	// Phase 1: reduce-scatter by recursive halving over the rabWindow
 	// boundaries — the same builder the first-class ReduceScatter op uses.
@@ -121,8 +121,7 @@ func BuildAllreduceRabenseifner(rank, size int, x []float64, op Op) *Schedule {
 		rd := s.round()
 		rd.Comm = append(rd.Comm,
 			sendF64(partner, x[myLo:myHi]),
-			recvP(partner, rbuf[:8*(pHi-pLo)]))
-		rd.Local = append(rd.Local, decodeP(x[pLo:pHi], rbuf))
+			recvF64(partner, x[pLo:pHi]))
 	}
 	return s
 }

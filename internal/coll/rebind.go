@@ -75,27 +75,45 @@ func (s *Schedule) Rebind(old, new BufArgs) {
 		panic(fmt.Sprintf("coll: Rebind shape mismatch: %d/%d byte regions, %d/%d f64 regions",
 			len(old.Bytes), len(new.Bytes), len(old.F64), len(new.F64)))
 	}
+	fold := foldOf(new.Op)
 	for ri := range s.Rounds {
 		rd := &s.Rounds[ri]
-		rebindPrims(rd.Comm, old, new)
-		rebindPrims(rd.Local, old, new)
+		rebindPrims(rd.Comm, old, new, fold)
+		rebindPrims(rd.Local, old, new, fold)
 	}
 }
 
-func rebindPrims(prims []Prim, old, new BufArgs) {
+func rebindPrims(prims []Prim, old, new BufArgs, fold foldKind) {
 	for i := range prims {
 		pr := &prims[i]
-		pr.Data = rebindBytes(pr.Data, old.Bytes, new.Bytes)
 		pr.Buf = rebindBytes(pr.Buf, old.Bytes, new.Bytes)
-		pr.Src = rebindBytes(pr.Src, old.Bytes, new.Bytes)
 		pr.Dst = rebindBytes(pr.Dst, old.Bytes, new.Bytes)
-		pr.In = rebindBytes(pr.In, old.Bytes, new.Bytes)
 		pr.AccF64 = rebindF64(pr.AccF64, old.F64, new.F64)
 		pr.SrcF64 = rebindF64(pr.SrcF64, old.F64, new.F64)
 		if pr.Op != nil && new.Op != nil {
-			pr.Op = new.Op
+			pr.Op, pr.fold = new.Op, fold
 		}
 	}
+}
+
+// Same reports whether ba names exactly the regions and operator o does —
+// base pointer and length, region by region — in which case a schedule
+// bound to o is already bound to ba and Rebind(o, ba) would write nothing.
+func (ba BufArgs) Same(o BufArgs) bool {
+	if len(ba.Bytes) != len(o.Bytes) || len(ba.F64) != len(o.F64) || opID(ba.Op) != opID(o.Op) {
+		return false
+	}
+	for i, b := range ba.Bytes {
+		if len(b) != len(o.Bytes[i]) || unsafe.SliceData(b) != unsafe.SliceData(o.Bytes[i]) {
+			return false
+		}
+	}
+	for i, x := range ba.F64 {
+		if len(x) != len(o.F64[i]) || unsafe.SliceData(x) != unsafe.SliceData(o.F64[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // rebindBytes maps sl onto the new region when it lies inside one of the

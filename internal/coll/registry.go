@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -152,7 +153,7 @@ type Args struct {
 	// elements for reduce-scatter). They drive allgatherv's size-based
 	// selection and reduce-scatter's signature and halving windows — the
 	// other vector ops' counts are fully carried by their Send/Recv/Out
-	// view lengths, which sigOf serializes. RecvF64 is the reduce-scatter
+	// view lengths, which the key records. RecvF64 is the reduce-scatter
 	// result segment of RCounts[Rank] elements.
 	RCounts []int
 	RecvF64 []float64
@@ -186,6 +187,10 @@ type Args struct {
 	// read it when Stripe > 1.
 	Stripe int
 	Rails  []RailInfo
+
+	// Sigs, when set, lets KeyFor find the signature string of a
+	// variable-length shape it has keyed before instead of rebuilding it.
+	Sigs *SigMemo
 }
 
 // Builder compiles one rank's schedule for one (op, algorithm) pair.
@@ -593,8 +598,18 @@ type Key struct {
 	// byte-identical to the pre-striping era.
 	Stripe int
 	Rails  string
-	Sig    string
+	// Data, X and Mine are the scalar buffers' lengths, Out, Send and Recv
+	// the block lists' shapes. Sig spells out what has no fixed width —
+	// differing block lengths, reduce-scatter's counts, aliased send
+	// displacements — and is empty (and costs nothing) otherwise.
+	Data, X, Mine   int
+	Out, Send, Recv BlockShape
+	Sig             string
 }
+
+// BlockShape is a block list's shape in a Key: N blocks of Len bytes each,
+// or Len -1 when the lengths differ and Key.Sig lists them.
+type BlockShape struct{ N, Len int }
 
 // KeyFor selects the algorithm and builds the canonical key for one
 // invocation. Topology-dependent fallbacks live here: the two-level
@@ -620,7 +635,8 @@ func KeyFor(t *Tuning, op OpKind, a Args, twoLevel bool) Key {
 		}
 		algo = noForce.Select(op, a.Size, bytes, false)
 	}
-	k := Key{Op: op, Algo: algo, Root: rootOf(op, a), NP: a.Size, Sig: sigOf(op, a)}
+	k := Key{Op: op, Algo: algo, Root: rootOf(op, a), NP: a.Size}
+	k.setShape(op, a)
 	if Segmented(algo) {
 		k.Seg = t.SegFor(op, a.Size, bytes)
 	}
@@ -661,7 +677,7 @@ func Registrations() []Registration {
 // vector that the buffer views do not already pin: reduce-scatter has no
 // per-rank views, and its halving windows depend on the whole vector, not
 // just len(X) and len(RecvF64). The other vector ops' counts equal their
-// Send/Recv/Out view lengths, which sigOf already serializes.
+// Send/Recv/Out view lengths, which the key already records.
 func countsInSig(op OpKind) bool {
 	return op == OpReduceScatter
 }
@@ -760,48 +776,91 @@ func rootOf(op OpKind, a Args) int {
 	return -1
 }
 
-// sigOf compresses the invocation's buffer counts into the key signature.
-func sigOf(op OpKind, a Args) string {
-	var sb strings.Builder
-	sb.WriteString(strconv.Itoa(len(a.Data)))
-	sb.WriteByte('/')
-	sb.WriteString(strconv.Itoa(len(a.X)))
-	sb.WriteByte('/')
-	sb.WriteString(strconv.Itoa(len(a.Mine)))
-	writeLens := func(bs [][]byte) {
-		sb.WriteByte('/')
-		for i, b := range bs {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(strconv.Itoa(len(b)))
-		}
+// setShape records the invocation's buffer counts in the key. What has no
+// fixed width is gathered as one int vector — per section a negative mark
+// (-1 Out, -2 Send, -3 Recv, -4 counts, -5 send displacements), then its
+// non-negative values — and spelled out into Sig.
+func (k *Key) setShape(op OpKind, a Args) {
+	k.Data, k.X, k.Mine = len(a.Data), len(a.X), len(a.Mine)
+	var ints []int
+	if a.Sigs != nil {
+		ints = a.Sigs.scratch[:0]
 	}
-	writeLens(a.Out)
-	writeLens(a.Send)
-	writeLens(a.Recv)
-	writeInts := func(tag byte, xs []int) {
-		sb.WriteByte('/')
-		sb.WriteByte(tag)
-		for i, x := range xs {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(strconv.Itoa(x))
+	shape := func(mark int, bs [][]byte) BlockShape {
+		if len(bs) == 0 {
+			return BlockShape{}
 		}
+		if uniformBlocks(bs) {
+			return BlockShape{N: len(bs), Len: len(bs[0])}
+		}
+		ints = append(ints, mark)
+		for _, b := range bs {
+			ints = append(ints, len(b))
+		}
+		return BlockShape{N: len(bs), Len: -1}
 	}
-	// The counts signature, for the ops whose structure the views do not
-	// already pin. Displacements stay out of the key for disjoint layouts —
-	// they change which buffer regions the blocks bind to, not the
-	// schedule's structure, so Rebind absorbs them — but the mpi layer sets
-	// SDispls/RDispls for overlapping layouts, which must key exactly.
+	k.Out, k.Send, k.Recv = shape(-1, a.Out), shape(-2, a.Send), shape(-3, a.Recv)
+	// The counts, for the ops whose structure the views do not already pin.
+	// Displacements stay out of the key for disjoint layouts — they change
+	// which buffer regions the blocks bind to, not the schedule's
+	// structure, so Rebind absorbs them — but the mpi layer sets SDispls
+	// for overlapping layouts, which must key exactly.
 	if countsInSig(op) {
-		writeInts('c', a.RCounts)
+		ints = append(append(ints, -4), a.RCounts...)
 	}
 	if a.SDispls != nil {
-		writeInts('s', a.SDispls)
+		ints = append(append(ints, -5), a.SDispls...)
 	}
-	return sb.String()
+	if len(ints) > 0 {
+		k.Sig = a.Sigs.sig(ints)
+	}
+	if a.Sigs != nil {
+		a.Sigs.scratch = ints
+	}
+}
+
+// SigMemo remembers the signature strings of the variable-length shapes
+// KeyFor keyed last, found again by comparing the int vectors themselves —
+// so a repeated vector collective builds no string. A communicator's
+// schedule cache owns one and passes it as Args.Sigs; a nil memo builds the
+// string every time.
+type SigMemo struct {
+	scratch []int
+	seen    []sigEntry // at most sigMemoCap, then it starts over
+}
+
+type sigEntry struct {
+	ints []int
+	sig  string
+}
+
+const sigMemoCap = 16
+
+func (m *SigMemo) sig(ints []int) string {
+	if m != nil {
+		for i := range m.seen {
+			if slices.Equal(m.seen[i].ints, ints) {
+				return m.seen[i].sig
+			}
+		}
+	}
+	b := make([]byte, 0, 4*len(ints))
+	for _, v := range ints {
+		if v < 0 {
+			b = append(b, '/', "osrcd"[-1-v])
+		} else {
+			b = append(strconv.AppendInt(b, int64(v), 10), ',')
+		}
+	}
+	sig := string(b)
+	if m != nil {
+		if len(m.seen) == sigMemoCap {
+			clear(m.seen)
+			m.seen = m.seen[:0]
+		}
+		m.seen = append(m.seen, sigEntry{ints: slices.Clone(ints), sig: sig})
+	}
+	return sig
 }
 
 // uniformBlocks reports whether every block has the same length.

@@ -1,14 +1,16 @@
 package coll
 
 import (
+	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/trace"
 )
 
 // This file expresses the collective algorithm set as *schedules*: per-rank
 // programs of rounds, each round holding point-to-point transfers (send/recv
-// prims) followed by local data movement (copy/reduce/decode prims). The same
+// prims) followed by local data movement (copy/reduce prims). The same
 // schedule drives two executors:
 //
 //   - ExecBlocking walks the rounds synchronously over a PtPt substrate —
@@ -27,41 +29,38 @@ import (
 type PrimKind uint8
 
 const (
-	// PrimSend transfers Data (or the lazily encoded AccF64) to Peer.
+	// PrimSend transfers Buf (or the memory of AccF64) to Peer.
 	PrimSend PrimKind = iota
-	// PrimRecv receives from Peer into Buf.
+	// PrimRecv receives from Peer into Buf (or into the memory of AccF64).
 	PrimRecv
-	// PrimCopy copies Src into Dst locally.
+	// PrimCopy copies Buf into Dst locally.
 	PrimCopy
-	// PrimReduce folds the float64 vector encoded in In into AccF64 with Op.
+	// PrimReduce folds SrcF64 into AccF64 elementwise with Op.
 	PrimReduce
-	// PrimDecode overwrites AccF64 with the float64 vector encoded in In.
-	PrimDecode
-	// PrimCopyF64 copies SrcF64 into AccF64 locally (float64 elements, no
-	// wire encoding) — the reduce-scatter builders land result segments with
-	// it.
+	// PrimCopyF64 copies SrcF64 into AccF64 locally — the reduce-scatter
+	// builders land result segments with it.
 	PrimCopyF64
 )
 
 // Prim is one schedule primitive. Only the fields of its kind are set.
 type Prim struct {
 	Kind PrimKind
+	// fold is Op as RunLocal dispatches it, resolved when Op is set.
+	fold foldKind
 	// Peer is the destination (send) or source (recv) rank.
 	Peer int
-	// Data is a static send payload, captured at build time.
-	Data []byte
-	// AccF64 is a float64 vector: for sends it is encoded at round start
-	// (payloads that earlier rounds mutate must be lazy); for
-	// reduce/decode/copyF64 it is the accumulator written in place.
+	// AccF64 is a float64 vector whose memory is the wire format (see
+	// f64View): a send transmits it as it stands at round start, a receive
+	// lands in it, and for reduce/copyF64 it is the accumulator written in
+	// place.
 	AccF64 []float64
-	// SrcF64 is the copyF64 source vector.
+	// SrcF64 is the reduce input or copyF64 source vector.
 	SrcF64 []float64
-	// Buf is the receive buffer.
+	// Buf is the byte operand: a send's static payload, captured at build
+	// time; a receive's buffer; a copy's source.
 	Buf []byte
-	// Src/Dst are the copy operands.
-	Src, Dst []byte
-	// In is the reduce/decode input (bytes holding a float64 vector).
-	In []byte
+	// Dst is the copy destination.
+	Dst []byte
 	// Op is the reduction operator.
 	Op Op
 	// Rail is the multirail placement hint of a send prim: 0 lets the
@@ -99,27 +98,111 @@ func (s *Schedule) round() *Round {
 	return &s.Rounds[len(s.Rounds)-1]
 }
 
-// SendPayload materializes a send prim's wire bytes.
-func SendPayload(pr *Prim) []byte {
-	if pr.AccF64 != nil {
-		return F64Bytes(pr.AccF64)
+// f64View returns the memory of x as bytes. The wire format of a float
+// vector is little-endian IEEE-754 (what F64Bytes encodes), which on a
+// little-endian host is that memory, so float payloads travel without a
+// codec; init refuses to start anywhere else.
+func f64View(x []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), 8*len(x))
+}
+
+func init() {
+	if one := [1]float64{1}; f64View(one[:])[7] != 0x3f {
+		panic("coll: float payloads are sent as host memory, which needs a little-endian host")
 	}
-	return pr.Data
+}
+
+// ValueSender is the optional substrate extension that says which sends are
+// by value: SendCopies(peer) reports that the transport has copied a payload
+// toward peer by the time the send completes. Shared memory has (into
+// cells); the network transports read the sender's memory when the packet
+// arrives, after the send completed at NIC drain. A substrate without it is
+// by-reference everywhere. Once every transport copies at submission, the
+// interface and the image in SendPayload both go.
+type ValueSender interface {
+	SendCopies(peer int) bool
+}
+
+// SendPayload returns a send prim's wire bytes — both executors send through
+// here. A float send transmits a vector that later rounds and then the
+// caller overwrite, so it goes out as the vector's memory only when vs
+// vouches for the peer, and as a private image of it otherwise.
+func SendPayload(pr *Prim, vs ValueSender) []byte {
+	if pr.AccF64 == nil {
+		return pr.Buf
+	}
+	view := f64View(pr.AccF64)
+	if vs != nil && vs.SendCopies(pr.Peer) {
+		return view
+	}
+	return slices.Clone(view)
+}
+
+// RecvBuf returns the bytes a receive prim lands in.
+func RecvBuf(pr *Prim) []byte {
+	if pr.AccF64 != nil {
+		return f64View(pr.AccF64)
+	}
+	return pr.Buf
+}
+
+// foldKind is a reduction operator as RunLocal dispatches it: the standard
+// operators run as direct loops, anything else through the Op call.
+type foldKind uint8
+
+const (
+	foldCall foldKind = iota
+	foldSum
+	foldMax
+	foldMin
+)
+
+// opID identifies a func value; copies of one func value share it.
+func opID(op Op) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Pointer(&op)) }
+
+func foldOf(op Op) foldKind {
+	switch opID(op) {
+	case opID(OpSum):
+		return foldSum
+	case opID(OpMax):
+		return foldMax
+	case opID(OpMin):
+		return foldMin
+	}
+	return foldCall
 }
 
 // RunLocal executes a local prim.
 func RunLocal(pr *Prim) {
 	switch pr.Kind {
 	case PrimCopy:
-		copy(pr.Dst, pr.Src)
-	case PrimReduce:
-		for i := range pr.AccF64 {
-			pr.AccF64[i] = pr.Op(pr.AccF64[i], f64At(pr.In, i))
-		}
-	case PrimDecode:
-		BytesF64(pr.AccF64, pr.In)
+		copy(pr.Dst, pr.Buf)
 	case PrimCopyF64:
 		copy(pr.AccF64, pr.SrcF64)
+	case PrimReduce:
+		acc, in := pr.AccF64, pr.SrcF64[:len(pr.AccF64)]
+		switch pr.fold {
+		case foldSum:
+			for i, v := range in {
+				acc[i] += v
+			}
+		case foldMax:
+			for i, v := range in {
+				if v > acc[i] {
+					acc[i] = v
+				}
+			}
+		case foldMin:
+			for i, v := range in {
+				if v < acc[i] {
+					acc[i] = v
+				}
+			}
+		default:
+			for i, v := range in {
+				acc[i] = pr.Op(acc[i], v)
+			}
+		}
 	}
 }
 
@@ -134,6 +217,7 @@ func ExecBlocking(p PtPt, s *Schedule, tag int32) {
 // rec's rounds track (nil rec records nothing).
 func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
 	rp, railOK := p.(RailPtPt)
+	vs, _ := p.(ValueSender)
 	name := ""
 	if rec.Enabled() {
 		name = s.Key.Op.String() + "/" + s.Key.Algo.String()
@@ -159,23 +243,23 @@ func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
 		}
 		if !multi && send != nil && recv != nil {
 			if railOK && send.Rail != 0 {
-				rp.SendRecvRailT(send.Peer, SendPayload(send), recv.Peer, recv.Buf, tag, send.Rail)
+				rp.SendRecvRailT(send.Peer, SendPayload(send, vs), recv.Peer, RecvBuf(recv), tag, send.Rail)
 			} else {
-				p.SendRecvT(send.Peer, SendPayload(send), recv.Peer, recv.Buf, tag)
+				p.SendRecvT(send.Peer, SendPayload(send, vs), recv.Peer, RecvBuf(recv), tag)
 			}
 		} else {
 			for i := range rd.Comm {
 				if pr := &rd.Comm[i]; pr.Kind == PrimSend {
 					if railOK && pr.Rail != 0 {
-						rp.SendRailT(pr.Peer, tag, SendPayload(pr), pr.Rail)
+						rp.SendRailT(pr.Peer, tag, SendPayload(pr, vs), pr.Rail)
 					} else {
-						p.SendT(pr.Peer, tag, SendPayload(pr))
+						p.SendT(pr.Peer, tag, SendPayload(pr, vs))
 					}
 				}
 			}
 			for i := range rd.Comm {
 				if pr := &rd.Comm[i]; pr.Kind == PrimRecv {
-					p.RecvT(pr.Peer, tag, pr.Buf)
+					p.RecvT(pr.Peer, tag, RecvBuf(pr))
 				}
 			}
 		}
@@ -189,14 +273,14 @@ func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
 
 // ---- prim constructors -----------------------------------------------------
 
-func sendP(peer int, data []byte) Prim    { return Prim{Kind: PrimSend, Peer: peer, Data: data} }
-func sendF64(peer int, x []float64) Prim  { return Prim{Kind: PrimSend, Peer: peer, AccF64: x} }
-func recvP(peer int, buf []byte) Prim     { return Prim{Kind: PrimRecv, Peer: peer, Buf: buf} }
-func copyP(dst, src []byte) Prim          { return Prim{Kind: PrimCopy, Dst: dst, Src: src} }
-func decodeP(x []float64, in []byte) Prim { return Prim{Kind: PrimDecode, AccF64: x, In: in} }
-func copyF64P(dst, src []float64) Prim    { return Prim{Kind: PrimCopyF64, AccF64: dst, SrcF64: src} }
-func reduceP(x []float64, in []byte, op Op) Prim {
-	return Prim{Kind: PrimReduce, AccF64: x, In: in, Op: op}
+func sendP(peer int, data []byte) Prim   { return Prim{Kind: PrimSend, Peer: peer, Buf: data} }
+func sendF64(peer int, x []float64) Prim { return Prim{Kind: PrimSend, Peer: peer, AccF64: x} }
+func recvP(peer int, buf []byte) Prim    { return Prim{Kind: PrimRecv, Peer: peer, Buf: buf} }
+func recvF64(peer int, x []float64) Prim { return Prim{Kind: PrimRecv, Peer: peer, AccF64: x} }
+func copyP(dst, src []byte) Prim         { return Prim{Kind: PrimCopy, Dst: dst, Buf: src} }
+func copyF64P(dst, src []float64) Prim   { return Prim{Kind: PrimCopyF64, AccF64: dst, SrcF64: src} }
+func reduceP(x, in []float64, op Op) Prim {
+	return Prim{Kind: PrimReduce, AccF64: x, SrcF64: in[:len(x)], Op: op, fold: foldOf(op)}
 }
 
 // ---- flat builders (the classic MPICH2 algorithm set) ----------------------
@@ -411,18 +495,13 @@ func binomialBcastBytes(s *Schedule, group Group, root, me int, data []byte) {
 }
 
 // binomialBcastF64 broadcasts the float64 vector x over group from root:
-// receivers land bytes in a scratch buffer, decode into x, and forward x
-// lazily so intermediate tree nodes relay what they received.
+// receivers land in x and forward it, so intermediate tree nodes relay what
+// they received.
 func binomialBcastF64(s *Schedule, group Group, root, me int, x []float64) {
-	m := group.Len()
-	if m <= 1 || group.Index(me) < 0 {
-		return
-	}
-	scratch := make([]byte, 8*len(x))
 	binomialBcast(s, group, root, me, func(peer int) Prim {
 		return sendF64(peer, x)
 	}, func(peer int) (Prim, []Prim) {
-		return recvP(peer, scratch), []Prim{decodeP(x, scratch)}
+		return recvF64(peer, x), nil
 	})
 }
 
@@ -436,14 +515,14 @@ func binomialReduce(s *Schedule, group Group, root, me int, x []float64, op Op) 
 		return
 	}
 	vr := (idx - rootIdx + m) % m
-	rbuf := make([]byte, 8*len(x))
+	rbuf := make([]float64, len(x))
 	mask := 1
 	for mask < m {
 		if vr&mask == 0 {
 			src := vr | mask
 			if src < m {
 				rd := s.round()
-				rd.Comm = append(rd.Comm, recvP(group.At((src+rootIdx)%m), rbuf))
+				rd.Comm = append(rd.Comm, recvF64(group.At((src+rootIdx)%m), rbuf))
 				rd.Local = append(rd.Local, reduceP(x, rbuf, op))
 			}
 		} else {
@@ -470,7 +549,7 @@ func rdAllreduce(s *Schedule, group Group, me int, x []float64, op Op) {
 		pof2 *= 2
 	}
 	rem := m - pof2
-	rbuf := make([]byte, 8*len(x))
+	rbuf := make([]float64, len(x))
 
 	newrank := -1
 	switch {
@@ -479,7 +558,7 @@ func rdAllreduce(s *Schedule, group Group, me int, x []float64, op Op) {
 		rd.Comm = append(rd.Comm, sendF64(group.At(idx+1), x))
 	case idx < 2*rem:
 		rd := s.round()
-		rd.Comm = append(rd.Comm, recvP(group.At(idx-1), rbuf))
+		rd.Comm = append(rd.Comm, recvF64(group.At(idx-1), rbuf))
 		rd.Local = append(rd.Local, reduceP(x, rbuf, op))
 		newrank = idx / 2
 	default:
@@ -496,7 +575,7 @@ func rdAllreduce(s *Schedule, group Group, me int, x []float64, op Op) {
 				real = partner + rem
 			}
 			rd := s.round()
-			rd.Comm = append(rd.Comm, sendF64(group.At(real), x), recvP(group.At(real), rbuf))
+			rd.Comm = append(rd.Comm, sendF64(group.At(real), x), recvF64(group.At(real), rbuf))
 			rd.Local = append(rd.Local, reduceP(x, rbuf, op))
 		}
 	}
@@ -504,8 +583,7 @@ func rdAllreduce(s *Schedule, group Group, me int, x []float64, op Op) {
 	if idx < 2*rem {
 		rd := s.round()
 		if idx%2 == 0 {
-			rd.Comm = append(rd.Comm, recvP(group.At(idx+1), rbuf))
-			rd.Local = append(rd.Local, decodeP(x, rbuf))
+			rd.Comm = append(rd.Comm, recvF64(group.At(idx+1), x))
 		} else {
 			rd.Comm = append(rd.Comm, sendF64(group.At(idx-1), x))
 		}
@@ -653,11 +731,4 @@ func BuildAllreduceTwoLevelStriped(rank int, nodes []int, x []float64, op Op, st
 	stampRails(s, interLo, st)
 	binomialBcastF64(s, sliceGroup(local), lead, rank, x)
 	return s
-}
-
-// f64At decodes the i-th float64 of a wire-encoded vector.
-func f64At(b []byte, i int) float64 {
-	var v [1]float64
-	BytesF64(v[:], b[8*i:])
-	return v[0]
 }

@@ -17,6 +17,11 @@ func execSched(t *testing.T, n int, build func(rank int) *Schedule, tag int32) {
 // checkRoundShape asserts the blocking-executor deadlock-freedom invariant:
 // a round that mixes sends and receives holds exactly one of each (it
 // becomes a SendRecvT); multi-transfer rounds are send-only or recv-only.
+// It also asserts that floats stay typed end to end: a transfer names its
+// payload as bytes or as a float vector, never both, and a reduction folds a
+// float vector of its accumulator's length — no builder stages a reduce
+// input (or anything else a local prim reads) as wire bytes to decode. The
+// conformance sweep runs every registered pair through here.
 func checkRoundShape(t *testing.T, s *Schedule, label string) {
 	t.Helper()
 	for ri, rd := range s.Rounds {
@@ -30,9 +35,30 @@ func checkRoundShape(t *testing.T, s *Schedule, label string) {
 			default:
 				t.Fatalf("%s round %d: local prim in Comm", label, ri)
 			}
+			if pr.Buf != nil && pr.AccF64 != nil {
+				t.Fatalf("%s round %d: transfer with both a byte and a float payload", label, ri)
+			}
 		}
 		if sends > 0 && recvs > 0 && (sends != 1 || recvs != 1) {
 			t.Fatalf("%s round %d: mixed round with %d sends, %d recvs", label, ri, sends, recvs)
+		}
+		for _, pr := range rd.Local {
+			switch pr.Kind {
+			case PrimCopy:
+				if pr.AccF64 != nil || pr.SrcF64 != nil {
+					t.Fatalf("%s round %d: byte copy with float operands", label, ri)
+				}
+			case PrimReduce, PrimCopyF64:
+				if pr.Buf != nil || pr.Dst != nil || len(pr.SrcF64) != len(pr.AccF64) {
+					t.Fatalf("%s round %d: float prim kind %d reads %d bytes / %d floats into %d floats",
+						label, ri, pr.Kind, len(pr.Buf), len(pr.SrcF64), len(pr.AccF64))
+				}
+				if pr.Kind == PrimReduce && (pr.Op == nil || pr.fold != foldOf(pr.Op)) {
+					t.Fatalf("%s round %d: reduce with operator %p dispatched as %d", label, ri, pr.Op, pr.fold)
+				}
+			default:
+				t.Fatalf("%s round %d: prim kind %d in Local", label, ri, pr.Kind)
+			}
 		}
 	}
 }

@@ -208,11 +208,14 @@ func BuildAllreduceSegRingStriped(rank, size int, x []float64, op Op, seg int, s
 	// The near-uniform split yields sub-segments of floor(c/L) or ceil(c/L)
 	// elements, and counts[0] is the largest window, so the scratch needs
 	// exactly ceil(counts[0]/L) elements.
-	rbuf := make([]byte, 8*((counts[0]+L-1)/L))
+	rbuf := make([]float64, (counts[0]+L-1)/L)
 	right := (rank + 1) % size
 	left := (rank - 1 + size) % size
 
-	exchange := func(ws, wr int, land func(lo, hi int) Prim) {
+	// exchange streams window ws to the right and takes window wr from the
+	// left, sub-segment by sub-segment: folded into x through rbuf when
+	// reduce is set, landed in x otherwise.
+	exchange := func(ws, wr int, reduce bool) {
 		for l := 0; l < L; l++ {
 			sLo, sHi := sub(ws, l)
 			rLo, rHi := sub(wr, l)
@@ -223,9 +226,11 @@ func BuildAllreduceSegRingStriped(rank, size int, x []float64, op Op, seg int, s
 			if sHi > sLo {
 				rd.Comm = append(rd.Comm, sendF64(right, x[sLo:sHi]))
 			}
-			if rHi > rLo {
-				rd.Comm = append(rd.Comm, recvP(left, rbuf[:8*(rHi-rLo)]))
-				rd.Local = append(rd.Local, land(rLo, rHi))
+			if rHi > rLo && reduce {
+				rd.Comm = append(rd.Comm, recvF64(left, rbuf[:rHi-rLo]))
+				rd.Local = append(rd.Local, reduceP(x[rLo:rHi], rbuf, op))
+			} else if rHi > rLo {
+				rd.Comm = append(rd.Comm, recvF64(left, x[rLo:rHi]))
 			}
 		}
 	}
@@ -236,14 +241,14 @@ func BuildAllreduceSegRingStriped(rank, size int, x []float64, op Op, seg int, s
 	for t := 0; t < size-1; t++ {
 		ws := ((rank-t)%size + size) % size
 		wr := ((rank-t-1)%size + size) % size
-		exchange(ws, wr, func(lo, hi int) Prim { return reduceP(x[lo:hi], rbuf, op) })
+		exchange(ws, wr, true)
 	}
 	// Phase 2: ring allgather. Step t streams window rank+1-t onward and
 	// lands the incoming reduced window rank-t.
 	for t := 0; t < size-1; t++ {
 		ws := ((rank+1-t)%size + size) % size
 		wr := ((rank-t)%size + size) % size
-		exchange(ws, wr, func(lo, hi int) Prim { return decodeP(x[lo:hi], rbuf) })
+		exchange(ws, wr, false)
 	}
 	stampRails(s, 0, st)
 	return s

@@ -72,7 +72,7 @@ func sendBytes(pr *Prim) int {
 	if pr.AccF64 != nil {
 		return 8 * len(pr.AccF64)
 	}
-	return len(pr.Data)
+	return len(pr.Buf)
 }
 
 // stampRails stamps the send prims of rounds [lo, len) with the stripe hint

@@ -92,7 +92,7 @@ func BuildAlltoallv(rank, size int, send, recv [][]byte, xor bool) *Schedule {
 // current window the partner keeps and folds the received half in; partners
 // share identical window histories because they only differ in the current
 // mask bit. rbuf must hold the largest incoming half. Commutative op only.
-func halvingReduceScatter(s *Schedule, rank, size int, x []float64, win []int, rbuf []byte, op Op) {
+func halvingReduceScatter(s *Schedule, rank, size int, x []float64, win []int, rbuf []float64, op Op) {
 	rlo, rhi := 0, size
 	for mask := size >> 1; mask >= 1; mask >>= 1 {
 		partner := rank ^ mask
@@ -105,7 +105,7 @@ func halvingReduceScatter(s *Schedule, rank, size int, x []float64, win []int, r
 		rd := s.round()
 		rd.Comm = append(rd.Comm,
 			sendF64(partner, x[sendLo:sendHi]),
-			recvP(partner, rbuf[:8*(keepHi-keepLo)]))
+			recvF64(partner, rbuf[:keepHi-keepLo]))
 		rd.Local = append(rd.Local, reduceP(x[keepLo:keepHi], rbuf, op))
 		if rank&mask != 0 {
 			rlo = rmid
@@ -133,7 +133,7 @@ func BuildReduceScatterHalving(rank, size int, x, recv []float64, counts []int, 
 	}
 	// Irregular boundaries can put almost the whole vector in one half, so
 	// the scratch covers the full length.
-	rbuf := make([]byte, 8*win[size])
+	rbuf := make([]float64, win[size])
 	halvingReduceScatter(s, rank, size, x, win, rbuf, op)
 	rd := s.round()
 	rd.Local = append(rd.Local, copyF64P(recv, x[win[rank]:win[rank+1]]))
@@ -154,7 +154,7 @@ func BuildReduceScatterPairwise(rank, size int, x, recv []float64, counts []int,
 	if size == 1 {
 		return s
 	}
-	rbuf := make([]byte, 8*counts[rank])
+	rbuf := make([]float64, counts[rank])
 	for i := 1; i < size; i++ {
 		dst := (rank + i) % size
 		src := (rank - i + size) % size
@@ -167,7 +167,7 @@ func BuildReduceScatterPairwise(rank, size int, x, recv []float64, counts []int,
 			rd.Comm = append(rd.Comm, sendF64(dst, x[win[dst]:win[dst+1]]))
 		}
 		if doRecv {
-			rd.Comm = append(rd.Comm, recvP(src, rbuf))
+			rd.Comm = append(rd.Comm, recvF64(src, rbuf))
 			rd.Local = append(rd.Local, reduceP(recv, rbuf, op))
 		}
 	}

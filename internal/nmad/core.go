@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/bufpool"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -42,6 +43,9 @@ type Options struct {
 	// Rec, when set, records library trace events (eager vs rendezvous
 	// submission, packet-wrapper activity, entry handling).
 	Rec *trace.Recorder
+	// Bufs is the store unexpected eager payloads are copied into; a world
+	// shares one across its ranks. Nil gives the core one of its own.
+	Bufs *bufpool.Pool
 }
 
 // withDefaults fills zero fields with the library defaults.
@@ -69,6 +73,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Notify == nil {
 		o.Notify = func() {}
+	}
+	if o.Bufs == nil {
+		o.Bufs = new(bufpool.Pool)
 	}
 	return o
 }
@@ -161,10 +168,14 @@ type Core struct {
 
 	kicked fifo[*Gate]
 
-	// Free lists of released requests and packet wrappers. They fill only
-	// from what traffic releases: nothing is allocated ahead of use.
-	reqFree []*Request
-	pwFree  []*Packet
+	// Free lists of released requests, packet wrappers and consumed
+	// unexpected records. They fill only from what traffic releases: nothing
+	// is allocated ahead of use.
+	reqFree   []*Request
+	pwFree    []*Packet
+	unexpFree bufpool.Records[unexp]
+
+	split splitScratch
 
 	// Method values handed to the progress engine and the rails, bound once.
 	runStrategiesFn func()
@@ -425,8 +436,24 @@ func (c *Core) matchPosted(g *Gate, tag uint64) *Request {
 	return nil
 }
 
-// consumeUnexpected completes (or advances) r using stored message u.
+// addUnexpected appends u's contents to the unexpected list in a recycled
+// record.
+func (c *Core) addUnexpected(u unexp) {
+	rec := c.unexpFree.Get()
+	*rec = u
+	c.unexpected = append(c.unexpected, rec)
+}
+
+// releaseUnexp recycles a consumed record and its payload buffer.
+func (c *Core) releaseUnexp(u *unexp) {
+	c.opt.Bufs.Put(u.data)
+	c.unexpFree.Put(u)
+}
+
+// consumeUnexpected completes (or advances) r using stored message u, which
+// has left the unexpected list and is released once r holds its contents.
 func (c *Core) consumeUnexpected(r *Request, u *unexp) {
+	defer c.releaseUnexp(u)
 	switch u.kind {
 	case EntryEager:
 		n := copy(r.buf, u.data)
@@ -705,20 +732,16 @@ func (c *Core) handleEntry(fromRank int, en Entry) vtime.Duration {
 			r.complete()
 		} else {
 			// Copy into NewMadeleine's buffers; delivered on a later IRecv.
-			data := make([]byte, len(en.Data))
+			data := c.opt.Bufs.Get(len(en.Data))
 			copy(data, en.Data)
-			c.unexpected = append(c.unexpected, &unexp{
-				from: g, kind: EntryEager, tag: en.Tag, msgLen: en.MsgLen, data: data,
-			})
+			c.addUnexpected(unexp{from: g, kind: EntryEager, tag: en.Tag, msgLen: en.MsgLen, data: data})
 			cost += copyCost(len(data), c.opt.MemBW)
 		}
 	case EntryRTS:
 		if r := c.matchPosted(g, en.Tag); r != nil {
 			c.startRdvRecv(r, g, en.Tag, en.MsgLen, en.PackID)
 		} else {
-			c.unexpected = append(c.unexpected, &unexp{
-				from: g, kind: EntryRTS, tag: en.Tag, msgLen: en.MsgLen, packID: en.PackID,
-			})
+			c.addUnexpected(unexp{from: g, kind: EntryRTS, tag: en.Tag, msgLen: en.MsgLen, packID: en.PackID})
 		}
 	case EntryCTS:
 		r := c.sendRdv[en.PackID]
@@ -758,18 +781,14 @@ func (c *Core) sendRdvData(r *Request, recvID uint64, grant int) {
 	case r.pin > 0:
 		// Pinned rendezvous payloads bypass the split strategy: the pin
 		// names one rail and re-splitting would defeat it.
-		shares = []Share{{Rail: r.pin - 1, Offset: 0, Len: len(data)}}
+		shares = c.split.whole(r.pin-1, len(data))
 	case r.pin < 0:
 		// Striped payloads water-fill over exactly the stripe's rails —
 		// the first -pin of the stack — so a schedule-level stripe width
 		// is honoured even under strategies that would not split on their
 		// own (aggreg keeps eager-sized packs whole) or would split over
 		// a different rail set.
-		active := make([]int, -r.pin)
-		for i := range active {
-			active[i] = i
-		}
-		shares = balancedShares(c, active, len(data))
+		shares = balancedShares(c, c.split.firstRails(-r.pin), len(data))
 	default:
 		shares = c.strat.SplitRdv(c, len(data))
 	}

@@ -60,6 +60,8 @@ type Strategy interface {
 	// Runs in progress context.
 	Schedule(c *Core, g *Gate)
 	// SplitRdv partitions size bytes of rendezvous payload into rail shares.
+	// The result lives in c's split scratch: it is valid until the next
+	// split on c.
 	SplitRdv(c *Core, size int) []Share
 }
 
@@ -107,7 +109,7 @@ func (stratDefault) Schedule(c *Core, g *Gate) {
 }
 
 func (stratDefault) SplitRdv(c *Core, size int) []Share {
-	return []Share{{Rail: c.bestRail(size), Offset: 0, Len: size}}
+	return c.split.whole(c.bestRail(size), size)
 }
 
 // ---- strat_aggreg --------------------------------------------------------
@@ -174,11 +176,7 @@ func (stratSplit) SplitRdv(c *Core, size int) []Share {
 	if size <= 0 {
 		return nil
 	}
-	active := make([]int, len(c.opt.Rails))
-	for i := range active {
-		active[i] = i
-	}
-	return balancedShares(c, active, size)
+	return balancedShares(c, c.split.firstRails(len(c.opt.Rails)), size)
 }
 
 // balancedShares water-fills size bytes over the given rail set, iteratively
@@ -206,11 +204,11 @@ func balancedShares(c *Core, active []int, size int) []Share {
 			kept = append(kept, best)
 		}
 		if len(kept) == len(active) {
-			return buildShares(active, shares, size)
+			return c.split.build(active, shares, size)
 		}
 		active = kept
 		if len(active) == 1 {
-			return []Share{{Rail: active[0], Offset: 0, Len: size}}
+			return c.split.whole(active[0], size)
 		}
 	}
 }
@@ -229,10 +227,10 @@ func (stratSplitStatic) SplitRdv(c *Core, size int) []Share {
 		return nil
 	}
 	if n == 1 || size < n*c.opt.MinSplit {
-		return []Share{{Rail: c.bestRail(size), Offset: 0, Len: size}}
+		return c.split.whole(c.bestRail(size), size)
 	}
 	per := size / n
-	var out []Share
+	out := c.split.shares[:0]
 	off := 0
 	for i := 0; i < n; i++ {
 		l := per
@@ -242,6 +240,7 @@ func (stratSplitStatic) SplitRdv(c *Core, size int) []Share {
 		out = append(out, Share{Rail: i, Offset: off, Len: l})
 		off += l
 	}
+	c.split.shares = out
 	return out
 }
 
@@ -249,7 +248,8 @@ func (stratSplitStatic) SplitRdv(c *Core, size int) []Share {
 // rendezvous payload of size bytes over rails, without running any traffic
 // — the pure sampling-derived split computation of §2.2, exposed so
 // benchmark tooling (cmd/multirail -json) can report split ratios
-// machine-readably. minSplit 0 means the library default.
+// machine-readably. minSplit 0 means the library default. Each call splits
+// on a core of its own, so the result is the caller's.
 func SplitPreview(kind StrategyKind, rails []*simnet.Rail, minSplit, size int) []Share {
 	if minSplit == 0 {
 		minSplit = 4 << 10
@@ -258,28 +258,60 @@ func SplitPreview(kind StrategyKind, rails []*simnet.Rail, minSplit, size int) [
 	return newStrategy(kind).SplitRdv(c, size)
 }
 
+// splitScratch is a core's reusable working memory for splitting one
+// rendezvous payload: sendRdvData consumes the shares before it returns, so
+// the next split overwrites them.
+type splitScratch struct {
+	active []int       // candidate rail set
+	byLat  []railModel // waterfill's rails in latency order
+	sizes  []int       // waterfill's per-rail byte counts
+	shares []Share     // the split handed back
+}
+
+// railModel is one rail as waterfill sees it.
+type railModel struct {
+	lat vtime.Duration
+	bw  float64
+	idx int // position in active
+}
+
+// firstRails returns the rail set [0, n).
+func (sc *splitScratch) firstRails(n int) []int {
+	sc.active = sc.active[:0]
+	for i := 0; i < n; i++ {
+		sc.active = append(sc.active, i)
+	}
+	return sc.active
+}
+
+// whole returns the split that keeps size bytes on one rail.
+func (sc *splitScratch) whole(rail, size int) []Share {
+	sc.shares = append(sc.shares[:0], Share{Rail: rail, Offset: 0, Len: size})
+	return sc.shares
+}
+
 // waterfill returns per-rail byte counts (aligned with active) equalizing
 // completion times.
 func waterfill(c *Core, active []int, size int) []int {
 	// Solve sum_i max(0,(t-L_i))*B_i = size for t by accumulating rails in
 	// latency order analytically.
-	type rl struct {
-		lat vtime.Duration
-		bw  float64
-		idx int // position in active
-	}
-	rails := make([]rl, len(active))
+	rails := c.split.byLat[:0]
 	for i, a := range active {
 		p := c.opt.Rails[a].Params
-		rails[i] = rl{lat: p.Latency, bw: p.BytesPerSec, idx: i}
+		rails = append(rails, railModel{lat: p.Latency, bw: p.BytesPerSec, idx: i})
 	}
+	c.split.byLat = rails
 	// Insertion sort by latency (tiny N).
 	for i := 1; i < len(rails); i++ {
 		for j := i; j > 0 && rails[j].lat < rails[j-1].lat; j-- {
 			rails[j], rails[j-1] = rails[j-1], rails[j]
 		}
 	}
-	shares := make([]int, len(active))
+	shares := c.split.sizes[:0]
+	for range active {
+		shares = append(shares, 0)
+	}
+	c.split.sizes = shares
 	remaining := float64(size)
 	// Try using the first k rails for k = len..1: compute t and check that
 	// t >= L_k for all used rails.
@@ -310,8 +342,9 @@ func waterfill(c *Core, active []int, size int) []int {
 	return shares
 }
 
-func buildShares(active []int, sizes []int, total int) []Share {
-	var out []Share
+// build lays the per-rail byte counts out as contiguous shares of total.
+func (sc *splitScratch) build(active []int, sizes []int, total int) []Share {
+	out := sc.shares[:0]
 	off := 0
 	for i, a := range active {
 		if sizes[i] <= 0 {
@@ -330,5 +363,6 @@ func buildShares(active []int, sizes []int, total int) []Share {
 	if off < total && len(out) > 0 {
 		out[len(out)-1].Len += total - off
 	}
+	sc.shares = out
 	return out
 }

@@ -246,6 +246,37 @@ func TestSplitPreviewMatchesStrategy(t *testing.T) {
 	}
 }
 
+// TestSplitReusesCoreScratch: repeated splits on one core give what a fresh
+// core gives (every strategy, sizes that keep one rail and that use both),
+// allocate nothing once the scratch has grown, and SplitPreview's result is
+// the caller's — a later preview does not overwrite it.
+func TestSplitReusesCoreScratch(t *testing.T) {
+	sizes := []int{1, 5 << 10, 64 << 10, 1 << 20, 3 << 10, 8 << 20}
+	for _, kind := range []StrategyKind{StratDefault, StratAggreg, StratSplitBalance, StratSplitStatic} {
+		ev := newEnv(t, 2, kind, ibRail(), mxRail())
+		c := ev.cores[0]
+		for _, size := range sizes {
+			want := SplitPreview(kind, ev.net.Rails(), 0, size)
+			if got := c.strat.SplitRdv(c, size); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v: split of %d on a used core = %v, on a fresh one %v", kind, size, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			for _, size := range sizes {
+				c.strat.SplitRdv(c, size)
+			}
+		}); n != 0 {
+			t.Errorf("%v: a split allocates %.1f objects on a warm core", kind, n/float64(len(sizes)))
+		}
+	}
+	a := SplitPreview(StratSplitBalance, newEnv(t, 2, StratSplitBalance, ibRail(), mxRail()).net.Rails(), 0, 1<<20)
+	before := fmt.Sprint(a)
+	SplitPreview(StratSplitBalance, newEnv(t, 2, StratSplitBalance, ibRail(), mxRail()).net.Rails(), 0, 8<<20)
+	if fmt.Sprint(a) != before {
+		t.Fatal("a later SplitPreview overwrote an earlier result")
+	}
+}
+
 func TestAggregationRespectsCap(t *testing.T) {
 	ev := newEnv(t, 2, StratAggreg)
 	core := ev.cores[0]

@@ -19,6 +19,12 @@ type schedCache struct {
 	entries  map[coll.Key]*schedEntry
 	compiles int64
 	hits     int64
+	rebinds  int64 // hits whose buffers or operator differed from the entry's
+
+	// Per-communicator scratch of the key path: the signature memo KeyFor
+	// consults for vector shapes and the span list blocksAlias sorts.
+	sigs  coll.SigMemo
+	spans []memSpan
 
 	// Registry counters, resolved once (the rebind hot path must not do
 	// map lookups in the registry).
@@ -92,13 +98,18 @@ func (c *Comm) acquireSched(key coll.Key, a coll.Args) (*coll.Schedule, func()) 
 			c.schedEvent("compile", key)
 			return coll.Build(key, a), noRelease
 		}
-		// Flatten into the entry's scratch, rebind, then swap scratch and
-		// args: no allocation once both lists have grown to the shape's
-		// region count. The old regions are zeroed so the vacated list does
-		// not retain the previous invocation's buffers.
+		// Flatten into the entry's scratch and, unless the call passed the
+		// very buffers and operator the schedule is bound to (what a loop
+		// over one set of buffers does every time), rebind and swap scratch
+		// and args: no allocation once both lists have grown to the shape's
+		// region count. The vacated list is zeroed so it does not retain the
+		// previous invocation's buffers.
 		a.BufArgsInto(&e.scratch)
-		e.sched.Rebind(e.args, e.scratch)
-		e.args, e.scratch = e.scratch, e.args
+		if !e.scratch.Same(e.args) {
+			e.sched.Rebind(e.args, e.scratch)
+			e.args, e.scratch = e.scratch, e.args
+			cc.rebinds++
+		}
 		clearBufArgs(&e.scratch)
 		e.inUse = true
 		cc.hits++

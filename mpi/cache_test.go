@@ -3,8 +3,10 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/cluster"
 	"repro/internal/coll"
@@ -385,6 +387,88 @@ func TestInPlaceAllgatherBypassesCache(t *testing.T) {
 		if compiles, hits := c.SchedCacheStats(); compiles != 2 || hits != 0 {
 			t.Errorf("rank %d: compiles/hits = %d/%d, want 2/0 (in-place call compiled uncached)",
 				me, compiles, hits)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// primBindings flattens what every prim of a schedule is bound to — operand
+// base pointers and lengths, and the operator — so two snapshots compare
+// equal exactly when no rebind wrote a prim in between.
+func primBindings(s *coll.Schedule) []any {
+	var out []any
+	for _, rd := range s.Rounds {
+		for _, prims := range [][]coll.Prim{rd.Comm, rd.Local} {
+			for _, pr := range prims {
+				addr := func(p unsafe.Pointer) uintptr { return uintptr(p) } // DeepEqual would compare pointees
+				out = append(out,
+					addr(unsafe.Pointer(unsafe.SliceData(pr.Buf))), len(pr.Buf),
+					addr(unsafe.Pointer(unsafe.SliceData(pr.Dst))), len(pr.Dst),
+					addr(unsafe.Pointer(unsafe.SliceData(pr.AccF64))), len(pr.AccF64),
+					addr(unsafe.Pointer(unsafe.SliceData(pr.SrcF64))), len(pr.SrcF64),
+					fmt.Sprintf("%p", pr.Op))
+			}
+		}
+	}
+	return out
+}
+
+// TestRebindOnlyWhenBuffersChange: a cache hit that passes the very buffers
+// and operator the schedule is bound to — what a loop over one set of
+// buffers does every time — writes no prim; a hit with another buffer or
+// another operator rebinds, to exactly what compiling against those
+// arguments would have produced (the results are the new call's).
+func TestRebindOnlyWhenBuffersChange(t *testing.T) {
+	const np = 4
+	_, err := Run(xeonCfg(np, cluster.MPICH2NmadIB()), func(c *Comm) {
+		me := float64(c.Rank())
+		x, y := make([]float64, 600), make([]float64, 600)
+		data := make([]byte, 2048)
+		run := func(v []float64, op coll.Op, fill, want float64) {
+			for i := range v {
+				v[i] = fill + me
+			}
+			c.AllreduceF64(v, op)
+			c.Bcast(0, data)
+			if v[0] != want || v[len(v)-1] != want {
+				t.Errorf("rank %d: allreduce = %v..%v, want %v", c.Rank(), v[0], v[len(v)-1], want)
+			}
+		}
+		run(x, OpSum, 1, 10) // 1+2+3+4
+		var sched *coll.Schedule
+		for k, e := range c.cache.entries {
+			if k.Op == coll.OpAllreduce {
+				sched = e.sched
+			}
+		}
+		bound := primBindings(sched)
+		for i := 0; i < 3; i++ {
+			run(x, OpSum, float64(i), float64(4*i+6))
+		}
+		if c.cache.rebinds != 0 || !reflect.DeepEqual(primBindings(sched), bound) {
+			t.Errorf("rank %d: same-buffer repeats rebound %d times or wrote a prim", c.Rank(), c.cache.rebinds)
+		}
+		run(y, OpSum, 2, 14)
+		if c.cache.rebinds != 1 || reflect.DeepEqual(primBindings(sched), bound) {
+			t.Errorf("rank %d: a new buffer rebound %d times, want 1", c.Rank(), c.cache.rebinds)
+		}
+		if x[0] != 14 { // the last x result (i=2): untouched by the call on y
+			t.Errorf("rank %d: x[0] = %v after a call on y", c.Rank(), x[0])
+		}
+		run(y, OpMax, 2, 5)
+		run(y, OpMax, 3, 6)
+		if c.cache.rebinds != 2 {
+			t.Errorf("rank %d: a new operator then a repeat rebound %d times in all, want 2", c.Rank(), c.cache.rebinds)
+		}
+		run(x, OpSum, 1, 10)
+		if c.cache.rebinds != 3 || !reflect.DeepEqual(primBindings(sched), bound) {
+			t.Errorf("rank %d: back on the first buffers: %d rebinds, bindings restored = %v",
+				c.Rank(), c.cache.rebinds, reflect.DeepEqual(primBindings(sched), bound))
+		}
+		if _, hits := c.SchedCacheStats(); hits != 2*7 {
+			t.Errorf("rank %d: %d cache hits, want 14", c.Rank(), hits)
 		}
 	})
 	if err != nil {

@@ -67,11 +67,25 @@ func (c *Comm) finishT(r *ch3.Request) int {
 
 // finishExchangeT is finishT for a concurrent send/receive pair.
 func (c *Comm) finishExchangeT(sr, rr *ch3.Request) int {
-	c.mgr.WaitUntil(c.proc, func() bool { return rr.Done() && sr.Done() })
+	c.waitPair(sr, rr)
 	n := rr.Stat.Len
 	c.p.Release(sr)
 	c.p.Release(rr)
 	return n
+}
+
+// waitPair blocks until both requests of a blocking exchange complete, in
+// ONE progress-regime wait (two sequential waits would poll differently and
+// move virtual time). A blocking communicator has one exchange outstanding,
+// so the predicate is bound once to two request fields instead of built
+// per call.
+func (c *Comm) waitPair(sr, rr *ch3.Request) {
+	if c.pairDone == nil {
+		c.pairDone = func() bool { return c.pairRecv.Done() && c.pairSend.Done() }
+	}
+	c.pairSend, c.pairRecv = sr, rr
+	c.mgr.WaitUntil(c.proc, c.pairDone)
+	c.pairSend, c.pairRecv = nil, nil
 }
 
 // SendRailT / SendRecvRailT implement coll.RailPtPt: the striped schedules'
@@ -93,6 +107,11 @@ func (c *Comm) SendRecvRailT(dst int, sdata []byte, src int, rbuf []byte, tag in
 	return c.finishExchangeT(sr, rr)
 }
 
+// SendCopies implements coll.ValueSender: shared memory has copied a payload
+// into cells by the time its send completes; the network transports read
+// the sender's memory when the packet arrives.
+func (c *Comm) SendCopies(peer int) bool { return c.p.VCOf(c.world(peer)).SameNode }
+
 // twoLevelApplies reports whether the topology-aware hierarchical variants
 // apply to a communicator with the given node map: requested by config,
 // placement known, and at least one node hosting several of the
@@ -112,29 +131,31 @@ func twoLevelApplies(cfg *Config, nodes []int) bool {
 	return false
 }
 
-// sched selects the algorithm, then compiles or rebinds the schedule via the
-// per-communicator cache. The returned release function must be called when
-// the execution finishes (the nonblocking path defers it to completion).
-func (c *Comm) sched(op coll.OpKind, a coll.Args) (*coll.Schedule, func()) {
+// keyFor completes a with the communicator's rank, size and topology,
+// selects the algorithm and copies the shape KeyFor resolved — pipeline
+// segment size and rail-stripe width, zero where the algorithm has neither —
+// back into a, with the rail capacities the stripe assigner weighs.
+func (c *Comm) keyFor(op coll.OpKind, a *coll.Args) coll.Key {
 	a.Rank, a.Size = c.rank, len(c.group)
 	if c.twoLvl {
 		a.Nodes = c.nodes
 	}
-	key := coll.KeyFor(&c.cfg.Coll, op, a, a.Nodes != nil)
-	a.Seg = key.Seg // resolved pipeline segment size (0 for non-segmented algos)
-	c.stripeArgs(&a, key)
-	return c.acquireSched(key, a)
-}
-
-// stripeArgs copies the key's resolved rail-stripe width back into the
-// builder arguments (the mirror of the a.Seg copy-back) and hands the
-// builders the rail capacities the stripe assigner weighs. Unstriped keys
-// leave both fields zero, so unstriped builds see pre-striping Args exactly.
-func (c *Comm) stripeArgs(a *coll.Args, key coll.Key) {
+	a.Sigs = &c.ensureCache().sigs
+	key := coll.KeyFor(&c.cfg.Coll, op, *a, a.Nodes != nil)
+	a.Seg = key.Seg
 	if key.Stripe > 0 {
 		a.Stripe = key.Stripe
 		a.Rails = c.cfg.Coll.Rails
 	}
+	return key
+}
+
+// sched selects the algorithm, then compiles or rebinds the schedule via the
+// per-communicator cache. The returned release function must be called when
+// the execution finishes (the nonblocking path defers it to completion).
+func (c *Comm) sched(op coll.OpKind, a coll.Args) (*coll.Schedule, func()) {
+	key := c.keyFor(op, &a)
+	return c.acquireSched(key, a)
 }
 
 // schedViews is sched for the uniform block-view entry points, whose
@@ -151,21 +172,10 @@ func (c *Comm) stripeArgs(a *coll.Args, key coll.Key) {
 // cross-buffer overlaps rejected), so they call sched directly and keep
 // the hot cached path free of re-analysis.
 func (c *Comm) schedViews(op coll.OpKind, a coll.Args) (*coll.Schedule, func()) {
-	regions := make([][]byte, 0, len(a.Send)+len(a.Recv)+len(a.Out)+2)
-	regions = append(regions, a.Data, a.Mine)
-	regions = append(regions, a.Send...)
-	regions = append(regions, a.Recv...)
-	regions = append(regions, a.Out...)
-	if blocksAlias(regions) {
-		a.Rank, a.Size = c.rank, len(c.group)
-		if c.twoLvl {
-			a.Nodes = c.nodes
-		}
-		key := coll.KeyFor(&c.cfg.Coll, op, a, a.Nodes != nil)
-		a.Seg = key.Seg
-		c.stripeArgs(&a, key)
+	if c.blocksAlias([][]byte{a.Data, a.Mine}, a.Send, a.Recv, a.Out) {
+		key := c.keyFor(op, &a)
 		c.countCompile()
-		return coll.Build(key, a), func() {}
+		return coll.Build(key, a), noRelease
 	}
 	return c.sched(op, a)
 }
@@ -373,6 +383,9 @@ func (t nbcTransport) Irecv(proc *vtime.Proc, src int, tag int32, buf []byte) nb
 	return t.c.p.IrecvPooled(proc, t.c.world(src), tag, t.c.nbcCtx, buf)
 }
 
+// SendCopies implements coll.ValueSender as Comm does.
+func (t nbcTransport) SendCopies(peer int) bool { return t.c.SendCopies(peer) }
+
 func (c *Comm) nbcStart(op coll.OpKind, a coll.Args) *Request {
 	s, release := c.sched(op, a)
 	return c.nbcStartSched(s, release)
@@ -560,7 +573,7 @@ func (c *Comm) checkVec(op, side string, buf []byte, counts, displs []int) (over
 	if displs == nil {
 		return false // packed layouts cannot overlap
 	}
-	return blocksAlias(coll.Blocks(buf, counts, displs))
+	return c.blocksAlias(coll.Blocks(buf, counts, displs))
 }
 
 // checkDisjoint panics when two caller buffers overlap in memory: the

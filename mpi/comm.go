@@ -85,6 +85,11 @@ type Comm struct {
 	nbcEng *nbc.Engine // lazily created schedule engine
 	cache  *schedCache // per-communicator persistent-schedule cache
 
+	// pairDone is waitPair's predicate over pairSend and pairRecv, bound to
+	// this handle on first use.
+	pairSend, pairRecv *ch3.Request
+	pairDone           func() bool
+
 	rec *trace.Recorder // event recorder (nil when tracing is off)
 	met *trace.Registry // this rank's counter registry (never nil under Run)
 
@@ -165,6 +170,7 @@ func (c *Comm) Dup() *Comm {
 	*c.nextCtx += 3
 	d.nbcEng = nil
 	d.cache = nil
+	d.pairDone = nil
 	d.selfSends = nil
 	d.selfRecvs = nil
 	return &d
@@ -332,10 +338,21 @@ func (c *Comm) Test(q *Request) bool {
 // Sendrecv performs a concurrent send and receive (both with tag).
 func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte) Status {
 	defer c.span("Sendrecv", trace.Int64("dst", int64(dst)), trace.Int64("src", int64(src)))()
-	rq := c.Irecv(src, rtag, rbuf)
-	sq := c.Isend(dst, stag, sdata)
-	c.WaitAll(sq, rq)
-	return rq.status()
+	if src == c.rank || dst == c.rank { // self-operations carry no CH3 request to pair
+		rq := c.Irecv(src, rtag, rbuf)
+		sq := c.Isend(dst, stag, sdata)
+		c.WaitAll(sq, rq)
+		return rq.status()
+	}
+	rr, _ := c.irecv(src, rtag, rbuf)
+	sr, _ := c.isend(dst, stag, sdata)
+	end := c.span("WaitAll", trace.Int64("n", 2))
+	c.waitPair(sr, rr)
+	end()
+	st := c.recvStatus(rr)
+	c.p.Release(sr)
+	c.p.Release(rr)
+	return st
 }
 
 func (q *Request) status() Status {

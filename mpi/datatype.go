@@ -1,8 +1,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"unsafe"
 
 	"repro/internal/coll"
@@ -140,25 +141,32 @@ func (c *Comm) IalltoallvBytes(send, recv [][]byte) *Request {
 
 func (c *Comm) alltoallvBytesArgs(op string, send, recv [][]byte) coll.Args {
 	c.checkAlltoall(op, send, recv)
-	if blocksAlias(recv) {
+	if c.blocksAlias(recv) {
 		panic(fmt.Sprintf("mpi: %s: overlapping recv blocks", op))
 	}
 	return coll.Args{Send: send, Recv: recv}
 }
 
-// blocksAlias reports whether any two nonzero blocks overlap in memory.
-func blocksAlias(blocks [][]byte) bool {
-	type span struct{ lo, hi uintptr }
-	spans := make([]span, 0, len(blocks))
-	for _, b := range blocks {
-		if len(b) > 0 {
-			p := uintptr(unsafe.Pointer(&b[0]))
-			spans = append(spans, span{p, p + uintptr(len(b))})
+// memSpan is one block's address range.
+type memSpan struct{ lo, hi uintptr }
+
+// blocksAlias reports whether any two nonzero blocks of the lists overlap
+// in memory.
+func (c *Comm) blocksAlias(lists ...[][]byte) bool {
+	cc := c.ensureCache()
+	spans := cc.spans[:0]
+	for _, blocks := range lists {
+		for _, b := range blocks {
+			if len(b) > 0 {
+				p := uintptr(unsafe.Pointer(&b[0]))
+				spans = append(spans, memSpan{p, p + uintptr(len(b))})
+			}
 		}
 	}
+	cc.spans = spans
 	// With nonzero spans sorted by start, pairwise-adjacent disjointness
 	// implies global disjointness.
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	slices.SortFunc(spans, func(a, b memSpan) int { return cmp.Compare(a.lo, b.lo) })
 	for i := 1; i < len(spans); i++ {
 		if spans[i].lo < spans[i-1].hi {
 			return true

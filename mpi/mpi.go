@@ -86,6 +86,7 @@ import (
 	"fmt"
 
 	"repro/cluster"
+	"repro/internal/bufpool"
 	"repro/internal/ch3"
 	"repro/internal/coll"
 	"repro/internal/core"
@@ -141,7 +142,8 @@ type Config struct {
 	// op pool: those operations allocate fresh. Virtual-time results are
 	// identical either way; the switch exists for neutrality verification
 	// and allocation benchmarking. It does not reach NewMadeleine's
-	// request/packet-wrapper pools or the rails' in-flight records.
+	// request/packet-wrapper pools, the rails' in-flight records or the
+	// world's store of unexpected-message buffers.
 	NoPooling bool
 	// Pioman tunes background progression beyond the stack's regime
 	// defaults. The zero value is the classic single-worker behavior.
@@ -381,6 +383,9 @@ func Run(cfg Config, main func(*Comm)) (*Report, error) {
 		}
 	}
 
+	// One store for unexpected payloads per world, not per rank: retention
+	// is bounded once however many ranks the world has.
+	bufs := new(bufpool.Pool)
 	mgrs := make([]*pioman.Manager, cfg.NP)
 	procs := make([]*ch3.Process, cfg.NP)
 	for r := 0; r < cfg.NP; r++ {
@@ -396,10 +401,11 @@ func Run(cfg Config, main func(*Comm)) (*Report, error) {
 		ch3Cfg.Rec = recs[r]
 		ch3Cfg.Metrics = met.Rank(r)
 		ch3Cfg.NoPooling = cfg.NoPooling
+		ch3Cfg.Bufs = bufs
 		procs[r] = ch3.NewProcess(e, r, cfg.NP, mgrs[r], eps[r], same, ch3Cfg)
 	}
 
-	if err := wireBackend(cfg, e, net, placement, mgrs, procs, recs); err != nil {
+	if err := wireBackend(cfg, e, net, placement, mgrs, procs, recs, bufs); err != nil {
 		return nil, err
 	}
 
@@ -456,7 +462,7 @@ func needsNetwork(p topo.Placement) bool {
 // wireBackend instantiates the configured network backend for every rank.
 func wireBackend(cfg Config, e *vtime.Engine, net *simnet.Network,
 	placement topo.Placement, mgrs []*pioman.Manager, procs []*ch3.Process,
-	recs []*trace.Recorder) error {
+	recs []*trace.Recorder, bufs *bufpool.Pool) error {
 
 	switch cfg.Stack.Backend {
 	case cluster.BackendDirect, cluster.BackendGenericNmad:
@@ -483,6 +489,7 @@ func wireBackend(cfg Config, e *vtime.Engine, net *simnet.Network,
 				},
 				Notify: func() { mgr.NotifyShard(coreShard) },
 				Rec:    recs[r],
+				Bufs:   bufs,
 			})
 			coreShard = mgrs[r].Register(cores[r], pioman.ClassNet)
 		}

@@ -10,10 +10,12 @@ import (
 )
 
 // TestCachedSchedStartZeroAlloc pins the heavy-traffic hot path at zero
-// allocations: once a shape's schedule is cached, rebinding it and handing
-// it to the nonblocking engine (acquireSched → StartDone, the body of every
-// cached I* start) must not allocate — the free lists (requests, ops),
-// the per-entry BufArgs scratch and the cached release closure cover it.
+// allocations: once a shape's schedule is cached, keying the call, finding
+// (and, for new buffers, rebinding) its schedule and handing it to the
+// nonblocking engine (sched → StartDone, the body of every cached I* start)
+// must not allocate — fixed-width key fields, the free lists (requests,
+// ops), the per-entry BufArgs scratch and the cached release closure cover
+// it.
 //
 // The run is single-rank so the schedule is local-only and the measured
 // calls cross no yield point: nothing else runs during AllocsPerRun.
@@ -21,23 +23,17 @@ func TestCachedSchedStartZeroAlloc(t *testing.T) {
 	cfg := xeonCfg(1, cluster.MPICH2NmadIB())
 	var avg float64
 	_, err := Run(cfg, func(c *Comm) {
-		x := make([]float64, 64)
-		// Warm the path: first call compiles the entry, second grows the
-		// rebind scratch and the free lists to steady state.
-		c.Wait(c.IallreduceF64(x, OpSum))
-		c.Wait(c.IallreduceF64(x, OpSum))
-
-		// Pre-resolve what Comm.sched computes per call; KeyFor itself
-		// builds a signature string, which is compile-time work outside
-		// the pinned cached path.
-		a := coll.Args{X: x, Op: coll.OpSum}
-		a.Rank, a.Size = c.rank, len(c.group)
-		key := coll.KeyFor(&c.cfg.Coll, coll.OpAllreduce, a, false)
-		a.Seg = key.Seg
+		bufs := [2][]float64{make([]float64, 64), make([]float64, 64)}
+		// Warm the path: first call compiles the entry, the next ones grow
+		// the rebind scratch and the free lists to steady state.
+		for i := 0; i < 3; i++ {
+			c.Wait(c.IallreduceF64(bufs[i%2], OpSum))
+		}
 		eng := c.engine()
-
+		i := 0
 		avg = testing.AllocsPerRun(200, func() {
-			s, release := c.acquireSched(key, a)
+			i++ // alternate buffers: every other start rebinds
+			s, release := c.sched(coll.OpAllreduce, coll.Args{X: bufs[i/2%2], Op: coll.OpSum})
 			eng.StartDone(c.proc, s, release)
 		})
 	})
@@ -45,7 +41,7 @@ func TestCachedSchedStartZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	if avg != 0 {
-		t.Fatalf("cached schedule rebind+start allocates %.2f objects/op, want 0", avg)
+		t.Fatalf("cached schedule key+rebind+start allocates %.2f objects/op, want 0", avg)
 	}
 }
 
@@ -99,6 +95,113 @@ func TestEagerRoundTripAllocBudget(t *testing.T) {
 				t.Fatalf("%s eager round trip allocates %.2f objects, budget 0", tc.name, avg)
 			}
 		})
+	}
+}
+
+// TestCachedCollectiveAllocBudget pins what one cached blocking collective
+// allocates at steady state, process-wide (all four ranks' calls), for a
+// reduction through every typed path (recursive doubling, reduce-scatter,
+// and a custom operator), a broadcast and a personalized exchange, at
+// eager sizes. With every rank on one node the budget is zero: float
+// payloads go out as the vector's own memory, unexpected arrivals land in
+// recycled buffers, the key of a repeated shape builds no string and a
+// repeat over the same buffers rebinds nothing. Across two nodes the only
+// allocations left are the private images of float sends toward network
+// peers (coll.SendPayload), counted here from the schedules themselves —
+// when the transports copy at submission that count becomes zero.
+func TestCachedCollectiveAllocBudget(t *testing.T) {
+	const np, runs = 4, 50
+	counts := []int{40, 0, 24, 64}
+	type bufs struct {
+		x, recv   []float64
+		data      []byte
+		send, out [][]byte
+	}
+	type call struct {
+		name string
+		op   coll.OpKind
+		args func(b bufs) coll.Args
+		run  func(c *Comm, b bufs)
+	}
+	weighted := coll.Op(func(a, b float64) float64 { return a + 2*b })
+	calls := []call{
+		{"AllreduceF64", coll.OpAllreduce,
+			func(b bufs) coll.Args { return coll.Args{X: b.x, Op: OpSum} },
+			func(c *Comm, b bufs) { c.AllreduceF64(b.x, OpSum) }},
+		{"AllreduceF64/custom", coll.OpAllreduce,
+			func(b bufs) coll.Args { return coll.Args{X: b.x, Op: weighted} },
+			func(c *Comm, b bufs) { c.AllreduceF64(b.x, weighted) }},
+		{"ReduceScatterF64", coll.OpReduceScatter,
+			func(b bufs) coll.Args { return coll.Args{X: b.x, RecvF64: b.recv, RCounts: counts, Op: OpMax} },
+			func(c *Comm, b bufs) { c.ReduceScatterF64(b.x, b.recv, counts, OpMax) }},
+		{"Bcast", coll.OpBcast,
+			func(b bufs) coll.Args { return coll.Args{Root: 1, Data: b.data} },
+			func(c *Comm, b bufs) { c.Bcast(1, b.data) }},
+		{"Alltoall", coll.OpAlltoall,
+			func(b bufs) coll.Args { return coll.Args{Send: b.send, Recv: b.out} },
+			func(c *Comm, b bufs) { c.Alltoall(b.send, b.out) }},
+	}
+	for _, tc := range []struct {
+		name      string
+		placement topo.Placement
+	}{
+		{"one node", topo.Placement{0, 0, 0, 0}},
+		{"two nodes", topo.Placement{0, 0, 1, 1}},
+	} {
+		for _, cl := range calls {
+			t.Run(tc.name+"/"+cl.name, func(t *testing.T) {
+				cfg := xeonCfg(np, cluster.MPICH2NmadIB())
+				cfg.Placement = tc.placement
+				var avg float64
+				images := 0 // float sends toward a network peer, all ranks
+				_, err := Run(cfg, func(c *Comm) {
+					b := bufs{x: make([]float64, 128), recv: make([]float64, counts[c.Rank()]),
+						data: make([]byte, 3000), send: make([][]byte, np), out: make([][]byte, np)}
+					for r := range b.send {
+						b.send[r], b.out[r] = make([]byte, 700), make([]byte, 700)
+					}
+					a := cl.args(b)
+					key := c.keyFor(cl.op, &a)
+					for _, rd := range coll.Build(key, a).Rounds {
+						for _, pr := range rd.Comm {
+							if pr.Kind == coll.PrimSend && len(pr.AccF64) > 0 && !c.SendCopies(pr.Peer) {
+								images++
+							}
+						}
+					}
+					// Rank 0 measures, so its calls bracket everyone's: no rank
+					// starts call k before rank 0 has (the token), and rank 0
+					// does not finish it before every rank has (the barrier).
+					token := make([]byte, 1)
+					once := func() {
+						c.Bcast(0, token)
+						cl.run(c, b)
+						c.Barrier()
+					}
+					for i := 0; i < 200; i++ { // compile, fill the free lists and the store, touch every shm cell
+						once()
+					}
+					if c.Rank() == 0 {
+						avg = testing.AllocsPerRun(runs, once)
+					} else {
+						for i := 0; i < runs+1; i++ { // AllocsPerRun warms up once
+							once()
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.name == "one node" && images != 0 {
+					t.Fatalf("%d float sends counted as network sends on one node", images)
+				}
+				if avg != float64(images) {
+					t.Fatalf("one cached %s allocates %.0f objects process-wide, budget %d (the network-peer images)",
+						cl.name, avg, images)
+				}
+				t.Logf("%s on %s: %.0f objects per call, all %d of them network-peer images", cl.name, tc.name, avg, images)
+			})
+		}
 	}
 }
 
