@@ -18,12 +18,13 @@
 //     progression parallelism at depth.
 //   - -npsweep appends a rank-count sweep at a fixed depth (-npdepth),
 //     growing the cluster at 8 cores per node past the two-node testbed.
-//     Rank counts in the hundreds are routine: per-rank state (transport
-//     wiring, cell pools) is allocated lazily, so host cost tracks the
-//     traffic actually simulated, and the sweep's verdict pins host ns per
-//     engine event flat (within 2×) from the smallest to the largest NP —
-//     per-op cost is allowed its algorithmic O(log NP) round growth, but
-//     nothing NP-linear may hide under it.
+//     Rank counts in the hundreds are routine: transport wiring is
+//     allocated lazily and a shared-memory cell holds payload memory only
+//     while full, so host cost tracks the traffic actually simulated, and
+//     the sweep's verdict pins host ns per engine event flat (within 2×)
+//     from the smallest to the largest NP — per-op cost is allowed its
+//     algorithmic O(log NP) round growth, but nothing NP-linear may hide
+//     under it.
 //   - -reps repeats each configuration, interleaved round-robin so host
 //     drift spreads evenly, and keeps the median-throughput run: single
 //     measurements on a shared host are noisy, and the virtual side of a

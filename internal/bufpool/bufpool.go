@@ -1,12 +1,18 @@
-// Package bufpool is the recycled store behind unexpected messages: the CH3
-// unexpected queue and NewMadeleine's unexpected list copy an eager payload
-// that arrived before its receive into a buffer from a Pool, track it in a
-// record from a Records list, and hand both back once the matching receive
-// has copied the payload out. The lifecycle is receiver-local — nothing a
-// sender reads ever lives here.
+// Package bufpool holds the simulator's recycled stores. A Pool is the
+// store behind unexpected messages: the CH3 unexpected queue and
+// NewMadeleine's unexpected list copy an eager payload that arrived before
+// its receive into a buffer from a Pool, track it in a record from a
+// Records list, and hand both back once the matching receive has copied the
+// payload out. That lifecycle is receiver-local — nothing a sender reads
+// ever lives there. List is the free list behind the transports' recycled
+// requests, packet wrappers, jobs and in-flight records, and ClassOf the
+// size classes that shared-memory cells borrow their payloads in.
 package bufpool
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Buffer capacities step four times per octave — 64, 80, 96, 112, 128, 160 …
 // up to maxSize, the largest eager payload either transport buffers — so a
@@ -38,9 +44,10 @@ type Pool struct {
 	Gets, Puts, Misses int64
 }
 
-// classOf returns the index and capacity of the smallest class holding n
-// bytes (0 < n <= maxSize).
-func classOf(n int) (idx, size int) {
+// ClassOf returns the index and capacity of the smallest class holding n
+// bytes (n > 0). The classes go on past maxSize in the same quarter-octave
+// steps, for stores of larger buffers; a Pool keeps classes up to maxSize.
+func ClassOf(n int) (idx, size int) {
 	if n <= minSize {
 		return 0, minSize
 	}
@@ -59,7 +66,7 @@ func (p *Pool) Get(n int) []byte {
 		p.Misses++
 		return make([]byte, n)
 	}
-	idx, size := classOf(n)
+	idx, size := ClassOf(n)
 	list := &p.free[idx]
 	if last := len(*list) - 1; last >= 0 {
 		b := (*list)[last]
@@ -82,18 +89,24 @@ func (p *Pool) Put(b []byte) {
 	if c > maxSize {
 		return
 	}
-	idx, size := classOf(c)
+	idx, size := ClassOf(c)
 	list := &p.free[idx]
 	if size != c || len(*list) == perClass {
 		return // not a capacity Get hands out, or the class is full
 	}
-	if poisonOnPut {
-		b = b[:c]
+	Poison(b)
+	*list = append(*list, b[:0])
+}
+
+// Poison overwrites all of b's capacity when PoisonOnPut is set, so that a
+// read through a buffer already handed back shows.
+func Poison(b []byte) {
+	if PoisonOnPut {
+		b = b[:cap(b)]
 		for i := range b {
 			b[i] = 0xdb
 		}
 	}
-	*list = append(*list, b[:0])
 }
 
 // Retained returns the bytes of capacity currently held for reuse.
@@ -107,24 +120,21 @@ func (p *Pool) Retained() int {
 	return n
 }
 
-// maxRecords bounds a Records list: a burst's peak is left to the collector,
-// a steady trickle recycles.
+// maxRecords bounds a Records list, and the slots a List reserves: a burst's
+// peak is left to the collector (or to append), a steady trickle recycles.
 const maxRecords = 64
 
 // Records is a bounded LIFO free list of *T bookkeeping records. The zero
 // value is ready to use.
-type Records[T any] struct{ free []*T }
+type Records[T any] struct{ list List[T] }
 
 // Get returns a zeroed record.
 func (r *Records[T]) Get() *T {
-	last := len(r.free) - 1
-	if last < 0 {
-		return new(T)
+	if v := r.list.Get(); v != nil {
+		return v
 	}
-	v := r.free[last]
-	r.free[last] = nil
-	r.free = r.free[:last]
-	return v
+	r.list.Made()
+	return new(T)
 }
 
 // Put zeroes v and keeps it for reuse; the caller must not touch it
@@ -132,7 +142,50 @@ func (r *Records[T]) Get() *T {
 func (r *Records[T]) Put(v *T) {
 	var zero T
 	*v = zero
-	if len(r.free) < maxRecords {
-		r.free = append(r.free, v)
+	if r.list.Len() < maxRecords {
+		r.list.Put(v)
 	}
 }
+
+// List is an unbounded LIFO free list of *T, for objects whose owner makes
+// one on a miss and keeps every one handed back. Made reserves a slot for
+// each of the first maxRecords objects made, so while no more than that are
+// in use Put never grows the list: a release allocates nothing, in whatever
+// order the objects come back. The reservation stops there because an
+// object need not come back — a request its caller never releases is
+// collected — and reserving for every object ever made would grow the list
+// without end. The zero value is ready to use.
+type List[T any] struct {
+	free []*T
+	made int
+}
+
+// Get pops the most recently put object, or returns nil when none is free;
+// the caller then makes one and reports it with Made.
+func (l *List[T]) Get() *T {
+	last := len(l.free) - 1
+	if last < 0 {
+		return nil
+	}
+	v := l.free[last]
+	l.free[last] = nil
+	l.free = l.free[:last]
+	return v
+}
+
+// Made counts an object the caller made after Get returned nil and, for
+// the first maxRecords, reserves the slot it will come back to.
+func (l *List[T]) Made() {
+	if l.made == maxRecords {
+		return
+	}
+	if l.made++; cap(l.free) < l.made {
+		l.free = slices.Grow(l.free, l.made-len(l.free))
+	}
+}
+
+// Put hands v back for reuse; the caller must not touch it afterwards.
+func (l *List[T]) Put(v *T) { l.free = append(l.free, v) }
+
+// Len returns the number of objects free for reuse.
+func (l *List[T]) Len() int { return len(l.free) }

@@ -3,28 +3,31 @@ package bufpool
 import "testing"
 
 // TestClassOf: every size lands in the smallest class that holds it, class
-// capacities ascend four to the octave, and a capacity maps back to itself.
+// capacities ascend four to the octave, and a capacity maps back to itself —
+// past maxSize too, where the Pool keeps nothing but larger stores do.
 func TestClassOf(t *testing.T) {
 	prevIdx, prevSize := -1, 0
 	total := 0
-	for n := 1; n <= maxSize; n++ {
-		idx, size := classOf(n)
+	for n := 1; n <= 4*maxSize; n++ {
+		idx, size := ClassOf(n)
 		if size < n || (n > minSize && size-n >= size/4) {
-			t.Fatalf("classOf(%d) = class %d of %d bytes", n, idx, size)
+			t.Fatalf("ClassOf(%d) = class %d of %d bytes", n, idx, size)
 		}
 		if idx != prevIdx {
 			if idx != prevIdx+1 || size <= prevSize {
 				t.Fatalf("class %d (%d B) follows class %d (%d B)", idx, size, prevIdx, prevSize)
 			}
-			if i, s := classOf(size); i != idx || s != size {
+			if i, s := ClassOf(size); i != idx || s != size {
 				t.Fatalf("capacity %d maps to class %d of %d bytes, want itself", size, i, s)
 			}
 			prevIdx, prevSize = idx, size
-			total += size
+			if size <= maxSize {
+				total += size
+			}
 		}
 	}
-	if prevIdx != nClasses-1 || prevSize != maxSize {
-		t.Fatalf("last class %d of %d bytes, want %d of %d", prevIdx, prevSize, nClasses-1, maxSize)
+	if last, size := ClassOf(maxSize); last != nClasses-1 || size != maxSize {
+		t.Fatalf("maxSize in class %d of %d bytes, want the last, %d", last, size, nClasses-1)
 	}
 	if total*perClass != Budget {
 		t.Fatalf("classes sum to %d bytes x %d, Budget says %d", total, perClass, Budget)
@@ -76,7 +79,7 @@ func TestPoolLifecycle(t *testing.T) {
 	if got := p.Retained(); got == 0 || got > Budget {
 		t.Fatalf("%d bytes retained, budget %d", got, Budget)
 	}
-	if poisonOnPut && first[len(sizes)-2][0] != 0xdb {
+	if PoisonOnPut && first[len(sizes)-2][0] != 0xdb {
 		t.Fatal("a retained buffer was not poisoned")
 	}
 	burst()
@@ -84,7 +87,7 @@ func TestPoolLifecycle(t *testing.T) {
 	// kept buffers; maxSize+1 is never kept.
 	classes := make(map[int]bool)
 	for _, n := range sizes[:len(sizes)-1] {
-		idx, _ := classOf(n)
+		idx, _ := ClassOf(n)
 		classes[idx] = true
 	}
 	kept := int64(perClass * len(classes))
@@ -114,10 +117,48 @@ func TestRecords(t *testing.T) {
 	for _, r := range out {
 		rs.Put(r)
 	}
-	if len(rs.free) != maxRecords {
-		t.Fatalf("list keeps %d records, cap %d", len(rs.free), maxRecords)
+	if rs.list.Len() != maxRecords {
+		t.Fatalf("list keeps %d records, cap %d", rs.list.Len(), maxRecords)
 	}
 	if r := rs.Get(); r.a != 0 || r.b != nil {
 		t.Fatalf("recycled record not zeroed: %+v", *r)
+	}
+}
+
+// TestListPutNeverGrows: every object made has its slot reserved, so handing
+// them all back — in any order, after any interleaving of gets — never grows
+// the list.
+func TestListPutNeverGrows(t *testing.T) {
+	var l List[int]
+	var out []*int
+	for round := 1; round <= 5; round++ {
+		for len(out) < 3*round {
+			v := l.Get()
+			if v == nil {
+				l.Made()
+				v = new(int)
+			}
+			out = append(out, v)
+		}
+		c := cap(l.free)
+		for len(out) > round { // hand most back, oldest first
+			l.Put(out[0])
+			out = out[1:]
+		}
+		if cap(l.free) != c {
+			t.Fatalf("round %d: Put grew the list from %d to %d slots", round, c, cap(l.free))
+		}
+	}
+	if l.Len()+len(out) != l.made {
+		t.Fatalf("%d free and %d out, %d made", l.Len(), len(out), l.made)
+	}
+	// Objects that never come back stop reserving at maxRecords.
+	for i := 0; i < 10*maxRecords; i++ {
+		if l.Get() == nil {
+			l.Made()
+		}
+	}
+	if cap(l.free) > 2*maxRecords {
+		t.Fatalf("%d slots reserved for objects that never came back", cap(l.free))
 	}
 }

@@ -2,4 +2,5 @@
 
 package bufpool
 
-const poisonOnPut = false
+// PoisonOnPut is false outside the race detector: see poison_race.go.
+const PoisonOnPut = false

@@ -149,8 +149,8 @@ type Process struct {
 	// Free lists (see getReq/putReq): recycled requests — transient ones and
 	// those their owner released — and shm jobs, so the blocking
 	// point-to-point and nonblocking-collective hot paths stop allocating.
-	reqFree []*Request
-	jobFree []*shmJob
+	reqFree bufpool.List[Request]
+	jobFree bufpool.List[shmJob]
 	uqFree  bufpool.Records[uqEntry]
 
 	// Pool statistics and the live in-flight gauge, cached off cfg.Metrics
@@ -279,11 +279,6 @@ func (p *Process) ShmMemBW() float64 {
 	return p.shm.Options().MemBW
 }
 
-// NewSendRequest builds a send request (exposed for backends and tests).
-func (p *Process) NewSendRequest(dst int, tag, ctx int32, data []byte) *Request {
-	return &Request{p: p, kind: sendReq, dst: int32(dst), tag: tag, ctx: ctx, data: data}
-}
-
 // ---- request/job free lists ----------------------------------------------
 
 // getReq pops a recycled request from the free list (or allocates on a
@@ -294,15 +289,13 @@ func (p *Process) getReq(kind reqKind, transient bool) *Request {
 	if p.cfg.NoPooling {
 		return &Request{p: p, kind: kind}
 	}
-	if n := len(p.reqFree); n > 0 {
-		r := p.reqFree[n-1]
-		p.reqFree[n-1] = nil
-		p.reqFree = p.reqFree[:n-1]
+	if r := p.reqFree.Get(); r != nil {
 		r.p, r.kind, r.transient = p, kind, transient
 		p.reqPoolHits.Inc()
 		return r
 	}
 	p.reqPoolMisses.Inc()
+	p.reqFree.Made()
 	return &Request{p: p, kind: kind, transient: transient}
 }
 
@@ -310,7 +303,7 @@ func (p *Process) getReq(kind reqKind, transient bool) *Request {
 // capacity and its bound Done predicate so reuse re-creates neither.
 func (p *Process) putReq(r *Request) {
 	*r = Request{onComplete: r.onComplete[:0], doneFn: r.doneFn}
-	p.reqFree = append(p.reqFree, r)
+	p.reqFree.Put(r)
 }
 
 // Release hands a completed request obtained from Isend/Irecv (any
@@ -331,12 +324,10 @@ func (p *Process) getJob() *shmJob {
 	if p.cfg.NoPooling {
 		return &shmJob{}
 	}
-	if n := len(p.jobFree); n > 0 {
-		j := p.jobFree[n-1]
-		p.jobFree[n-1] = nil
-		p.jobFree = p.jobFree[:n-1]
+	if j := p.jobFree.Get(); j != nil {
 		return j
 	}
+	p.jobFree.Made()
 	return &shmJob{}
 }
 
@@ -346,7 +337,7 @@ func (p *Process) putJob(j *shmJob) {
 		return
 	}
 	*j = shmJob{}
-	p.jobFree = append(p.jobFree, j)
+	p.jobFree.Put(j)
 }
 
 // putUq recycles an entry taken off the unexpected queue, and its payload

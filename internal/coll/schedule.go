@@ -216,8 +216,24 @@ func ExecBlocking(p PtPt, s *Schedule, tag int32) {
 // ExecBlockingRec is ExecBlocking with per-round trace slices recorded on
 // rec's rounds track (nil rec records nothing).
 func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
-	rp, railOK := p.(RailPtPt)
-	vs, _ := p.(ValueSender)
+	// p's optional extensions are asserted only for a prim that uses them,
+	// so a schedule without rail hints or float sends (a Barrier) asserts
+	// nothing: until an assertion site's type cache is filled, the runtime
+	// fills it at random, about one call in a thousand, with an allocation.
+	rail := func(pr *Prim) RailPtPt {
+		if pr.Rail == 0 {
+			return nil
+		}
+		rp, _ := p.(RailPtPt)
+		return rp
+	}
+	payload := func(pr *Prim) []byte {
+		if pr.AccF64 == nil {
+			return pr.Buf
+		}
+		vs, _ := p.(ValueSender)
+		return SendPayload(pr, vs)
+	}
 	name := ""
 	if rec.Enabled() {
 		name = s.Key.Op.String() + "/" + s.Key.Algo.String()
@@ -242,18 +258,18 @@ func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
 			}
 		}
 		if !multi && send != nil && recv != nil {
-			if railOK && send.Rail != 0 {
-				rp.SendRecvRailT(send.Peer, SendPayload(send, vs), recv.Peer, RecvBuf(recv), tag, send.Rail)
+			if rp := rail(send); rp != nil {
+				rp.SendRecvRailT(send.Peer, payload(send), recv.Peer, RecvBuf(recv), tag, send.Rail)
 			} else {
-				p.SendRecvT(send.Peer, SendPayload(send, vs), recv.Peer, RecvBuf(recv), tag)
+				p.SendRecvT(send.Peer, payload(send), recv.Peer, RecvBuf(recv), tag)
 			}
 		} else {
 			for i := range rd.Comm {
 				if pr := &rd.Comm[i]; pr.Kind == PrimSend {
-					if railOK && pr.Rail != 0 {
-						rp.SendRailT(pr.Peer, tag, SendPayload(pr, vs), pr.Rail)
+					if rp := rail(pr); rp != nil {
+						rp.SendRailT(pr.Peer, tag, payload(pr), pr.Rail)
 					} else {
-						p.SendT(pr.Peer, tag, SendPayload(pr, vs))
+						p.SendT(pr.Peer, tag, payload(pr))
 					}
 				}
 			}

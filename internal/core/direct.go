@@ -231,6 +231,3 @@ func (d *Direct) Progress() (int, vtime.Duration) {
 	}
 	return events, cost
 }
-
-// PendingASLists reports the number of open ANY_SOURCE lists (diagnostics).
-func (d *Direct) PendingASLists() int { return len(d.as.lists) }

@@ -209,7 +209,7 @@ func LU() Kernel {
 					}
 				}
 			}
-			s := []float64{1}
+			s := w.one()
 			c.AllreduceF64(s, mpi.OpSum)
 			elapsed := c.Wtime() - t0
 			return w.result(c, "LU", class, elapsed)

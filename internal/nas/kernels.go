@@ -139,12 +139,12 @@ func CG() Kernel {
 						}
 					}
 					// Two scalar reductions (rho, alpha).
-					s := []float64{1}
+					s := w.one()
 					c.AllreduceF64(s, mpi.OpSum)
 					c.AllreduceF64(s, mpi.OpSum)
 				}
 				// Residual norm.
-				s := []float64{1}
+				s := w.one()
 				c.AllreduceF64(s, mpi.OpSum)
 			}
 			elapsed := c.Wtime() - t0
@@ -291,7 +291,7 @@ func MG() Kernel {
 					}
 				}
 				// Norm check.
-				s := []float64{1}
+				s := w.one()
 				c.AllreduceF64(s, mpi.OpSum)
 			}
 			elapsed := c.Wtime() - t0

@@ -177,8 +177,16 @@ func split3(np int) (x, y, z int) {
 type ws struct {
 	send    []byte
 	scratch []byte
+	scalar  [1]float64
 	errors  int
 	msgs    int64
+}
+
+// one returns the workspace's scalar reset to 1, the value each kernel's
+// scalar reductions start from; reusing it keeps them allocation-free.
+func (w *ws) one() []float64 {
+	w.scalar[0] = 1
+	return w.scalar[:]
 }
 
 func newWS() *ws { return &ws{} }

@@ -21,6 +21,7 @@
 package nbc
 
 import (
+	"repro/internal/bufpool"
 	"repro/internal/coll"
 	"repro/internal/pioman"
 	"repro/internal/trace"
@@ -64,7 +65,7 @@ type Engine struct {
 
 	// free recycles completed Ops (see getOp/putOp); pooling can be turned
 	// off for neutrality verification.
-	free    []*Op
+	free    bufpool.List[Op]
 	pooling bool
 
 	// Stats, registered on a metrics registry via Instrument (standalone
@@ -151,12 +152,10 @@ type Op struct {
 // previous life.
 func (e *Engine) getOp() *Op {
 	var op *Op
-	if n := len(e.free); n > 0 {
-		op = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	if op = e.free.Get(); op != nil {
 		e.opHits.Inc()
 	} else {
+		e.free.Made()
 		op = &Op{eng: e}
 		op.cb = op.transferDone
 		op.taskFn = func(p *vtime.Proc) {
@@ -178,7 +177,7 @@ func (e *Engine) putOp(op *Op) {
 	op.sched = nil
 	op.onDone = nil
 	op.name = ""
-	e.free = append(e.free, op)
+	e.free.Put(op)
 }
 
 // Gen returns the op's current acquisition generation.

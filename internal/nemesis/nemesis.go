@@ -191,11 +191,10 @@ func (ep *Endpoint) Poll() (int, vtime.Duration) {
 }
 
 // FreeCells reports how many cells remain in this endpoint's free queue
-// (test/diagnostic helper; counts by draining and refilling would perturb
-// state, so this walks the real queue non-destructively is impossible —
-// instead we track via pool counts).
+// (a test and diagnostic helper). The lock-free queue cannot be walked
+// without dequeuing, so it drains the queue and refills it in the same
+// order; that is safe because only the owner dequeues from Free.
 func (ep *Endpoint) FreeCells() int {
-	// Drain and refill to count: safe because only the owner touches Free.
 	var cells []*shmq.Cell
 	for {
 		c := ep.pool.GetFree()

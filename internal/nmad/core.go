@@ -46,6 +46,21 @@ type Options struct {
 	// Bufs is the store unexpected eager payloads are copied into; a world
 	// shares one across its ranks. Nil gives the core one of its own.
 	Bufs *bufpool.Pool
+	// Pools holds the free requests and packet wrappers; a world shares one
+	// across its ranks. Nil gives the core one of its own.
+	Pools *Pools
+}
+
+// Pools holds the free lists of released requests and packet wrappers.
+// They fill only from what traffic releases: nothing is made ahead of use. A
+// wrapper is held until its receiver parses it, so the rank that leads an
+// exchange can need one more wrapper or request than it has released, while
+// the rank behind it holds a spare — shared across a world, the spare serves
+// the leader instead of a new allocation. One simulated process runs at a
+// time, so sharing needs no lock.
+type Pools struct {
+	reqs bufpool.List[Request]
+	pws  bufpool.List[Packet]
 }
 
 // withDefaults fills zero fields with the library defaults.
@@ -76,6 +91,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Bufs == nil {
 		o.Bufs = new(bufpool.Pool)
+	}
+	if o.Pools == nil {
+		o.Pools = new(Pools)
 	}
 	return o
 }
@@ -168,11 +186,8 @@ type Core struct {
 
 	kicked fifo[*Gate]
 
-	// Free lists of released requests, packet wrappers and consumed
-	// unexpected records. They fill only from what traffic releases: nothing
-	// is allocated ahead of use.
-	reqFree   []*Request
-	pwFree    []*Packet
+	// Free list of consumed unexpected records; requests and wrappers come
+	// from opt.Pools.
 	unexpFree bufpool.Records[unexp]
 
 	split splitScratch
@@ -307,24 +322,12 @@ func (c *Core) ISendRail(g *Gate, tag uint64, data []byte, rail int) *Request {
 	return r
 }
 
-// takeFree pops the most recently released object of a free list, or
-// returns nil when the list is empty.
-func takeFree[T any](free *[]*T) *T {
-	n := len(*free) - 1
-	if n < 0 {
-		return nil
-	}
-	v := (*free)[n]
-	(*free)[n] = nil
-	*free = (*free)[:n]
-	return v
-}
-
 // getReq returns a released request, or allocates when none is free.
 func (c *Core) getReq() *Request {
-	if r := takeFree(&c.reqFree); r != nil {
+	if r := c.opt.Pools.reqs.Get(); r != nil {
 		return r
 	}
+	c.opt.Pools.reqs.Made()
 	return new(Request)
 }
 
@@ -584,18 +587,19 @@ func (c *Core) armIdleKick(g *Gate, rail int) {
 // getPacket returns an empty wrapper toward g, from the free list when a
 // released one is there.
 func (c *Core) getPacket(g *Gate) *Packet {
-	pw := takeFree(&c.pwFree)
+	pw := c.opt.Pools.pws.Get()
 	if pw == nil {
-		pw = &Packet{core: c}
+		c.opt.Pools.pws.Made()
+		pw = new(Packet)
 		pw.transmitFn, pw.drainFn = pw.transmit, pw.drain
 	}
-	pw.From, pw.To, pw.gate = c.rank, g.PeerRank, g
+	pw.core, pw.From, pw.To, pw.gate = c, c.rank, g.PeerRank, g
 	return pw
 }
 
 // unref drops one pending event's hold on a pooled wrapper; the last one
 // clears what the wrapper references (payload slices, packs, gate) and
-// returns it to its sender's free list.
+// returns it to the free list.
 func (pw *Packet) unref() {
 	if pw.refs--; pw.refs > 0 {
 		return
@@ -604,7 +608,7 @@ func (pw *Packet) unref() {
 	clear(pw.sends)
 	pw.Entries, pw.sends = pw.Entries[:0], pw.sends[:0]
 	pw.gate, pw.rdv = nil, nil
-	pw.core.pwFree = append(pw.core.pwFree, pw)
+	pw.core.opt.Pools.pws.Put(pw)
 }
 
 // submit sends pw over rail railIdx. The host submission cost — eager bounce
@@ -675,9 +679,6 @@ func (c *Core) deliverPw(d simnet.Delivery) {
 	c.inbox.push(inPw{pw: d.Payload.(*Packet), consume: d.ConsumeCost})
 	c.opt.Notify()
 }
-
-// HasPending reports whether any inbox entries or kicked gates await Poll.
-func (c *Core) HasPending() bool { return c.inbox.len() > 0 || c.kicked.len() > 0 || c.owed > 0 }
 
 // SourceName implements pioman.Source.
 func (c *Core) SourceName() string { return fmt.Sprintf("nmad[%d]", c.rank) }

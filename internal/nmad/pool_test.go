@@ -190,7 +190,7 @@ func TestRecycledRequestsAndWrappersStress(t *testing.T) {
 		if o.c.Aggregated == 0 {
 			t.Errorf("rank %d aggregated no entries: the busy-NIC wrapper path did not run", rank)
 		}
-		if len(o.c.pwFree) == 0 {
+		if o.c.opt.Pools.pws.Len() == 0 {
 			t.Errorf("rank %d got no wrapper back", rank)
 		}
 	}

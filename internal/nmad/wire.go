@@ -216,7 +216,7 @@ func (r *Request) Release() {
 	}
 	c := r.core
 	*r = Request{core: c, released: true} // drops the buffer and callback references
-	c.reqFree = append(c.reqFree, r)
+	c.opt.Pools.reqs.Put(r)
 }
 
 func (r *Request) complete() {

@@ -17,7 +17,11 @@ package shmq
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
+
+	"repro/internal/bufpool"
 )
 
 // CellType discriminates what a filled cell carries.
@@ -50,17 +54,18 @@ type Header struct {
 	ReqID uint64
 }
 
-// Cell is one fixed-size shared-memory message cell. Its backing storage
-// is allocated lazily on first fill: a simulated job of thousands of ranks
-// would otherwise pay for (and zero) every rank's full cell pool up front,
-// when a log-depth collective touches only a handful of cells per rank.
-// The *capacity* stays fixed — flow control and fragmentation behave
-// exactly as if the memory were preallocated.
+// Cell is one fixed-size shared-memory message cell. It holds payload
+// memory only while it is full: SetPayload borrows a buffer of at least
+// the fragment's size class from the owning pool's store, and Pool.Release
+// gives it back. A simulated job of thousands of ranks would otherwise keep
+// a buffer behind every cell it ever filled, when at most a handful of them
+// are full at once. The *capacity* stays fixed — flow control and
+// fragmentation behave exactly as if the memory were preallocated.
 type Cell struct {
 	next atomic.Pointer[Cell]
 	Hdr  Header
-	size int    // fixed payload capacity
-	buf  []byte // grown on demand up to size; len tracks the valid fragment bytes
+	pool *Pool  // owner, whose store lends the payload buffer
+	buf  []byte // the borrowed buffer while full; len tracks the valid fragment bytes
 }
 
 // Payload returns the valid bytes of the fragment.
@@ -69,19 +74,16 @@ func (c *Cell) Payload() []byte { return c.buf }
 // SetPayload copies p into the cell. It panics if p exceeds the capacity;
 // callers fragment messages across cells (as Nemesis does) before filling.
 func (c *Cell) SetPayload(p []byte) {
-	if len(p) > c.size {
-		panic(fmt.Sprintf("shmq: payload %d exceeds cell capacity %d", len(p), c.size))
+	if len(p) > c.pool.cellSize {
+		panic(fmt.Sprintf("shmq: payload %d exceeds cell capacity %d", len(p), c.pool.cellSize))
 	}
-	if cap(c.buf) < len(p) {
-		c.buf = make([]byte, len(p))
-	} else {
-		c.buf = c.buf[:len(p)]
-	}
+	c.pool.store.put(c.buf)
+	c.buf = c.pool.store.get(len(p))
 	copy(c.buf, p)
 }
 
 // Capacity returns the fixed payload capacity of the cell.
-func (c *Cell) Capacity() int { return c.size }
+func (c *Cell) Capacity() int { return c.pool.cellSize }
 
 // Queue is a lock-free multi-producer single-consumer queue of cells,
 // implementing the MPICH2/Nemesis enqueue/dequeue algorithm: enqueue swaps
@@ -143,6 +145,7 @@ type Pool struct {
 
 	numCells int
 	cellSize int
+	store    store
 }
 
 // NewPool allocates numCells cells of payload capacity cellSize bytes and
@@ -152,8 +155,10 @@ func NewPool(numCells, cellSize int) (*Pool, error) {
 		return nil, fmt.Errorf("shmq: invalid pool %d cells x %d bytes", numCells, cellSize)
 	}
 	p := &Pool{Free: &Queue{}, Recv: &Queue{}, numCells: numCells, cellSize: cellSize}
+	top, _ := bufpool.ClassOf(cellSize)
+	p.store.limit, p.store.nclasses = numCells, top+1
 	for i := 0; i < numCells; i++ {
-		p.Free.Enqueue(&Cell{size: cellSize})
+		p.Free.Enqueue(&Cell{pool: p})
 	}
 	return p, nil
 }
@@ -168,9 +173,104 @@ func (p *Pool) CellSize() int { return p.cellSize }
 // case the sender must poll and retry, exactly like Nemesis flow control).
 func (p *Pool) GetFree() *Cell { return p.Free.Dequeue() }
 
-// Release returns a consumed cell to the free queue.
+// Release returns a consumed cell to the free queue and its payload buffer
+// to the pool's store.
 func (p *Pool) Release(c *Cell) {
-	c.buf = c.buf[:0]
+	p.store.put(c.buf)
+	c.buf = nil
 	c.Hdr = Header{}
 	p.Free.Enqueue(c)
+}
+
+// store lends cell payload buffers in bufpool's size classes. It keeps
+// every buffer handed back, up to limit (the pool's cell count) in all —
+// never more than cells that each kept their own buffer would hold. A class
+// with none free lends the smallest larger one it keeps, and at the limit a
+// larger buffer handed back displaces the smallest kept, so the kept set
+// settles on what the pool's peaks of full cells need, as cells that each
+// grew their own buffer would, instead of churning when the mix of sizes
+// shifts. A class's free list is given room for each buffer of its size as
+// it is made, so a put never grows it.
+//
+// Receivers release cells into the sender's pool, from their own goroutines
+// in the concurrent tests, so a mutex guards the store; the simulator runs
+// one proc at a time and never contends it.
+type store struct {
+	mu       sync.Mutex
+	classes  []cellClass // made on first get
+	nclasses int         // up to the class of the cell size
+	kept     int         // buffers held in the free lists
+	limit    int
+
+	gets, puts, misses int64
+}
+
+type cellClass struct {
+	free [][]byte
+	live int // buffers of this class out or kept
+}
+
+// get returns a buffer of length n (nil for n == 0).
+func (st *store) get(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	idx, size := bufpool.ClassOf(n)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.gets++
+	if st.classes == nil {
+		st.classes = make([]cellClass, st.nclasses)
+	}
+	for i := idx; i < len(st.classes); i++ {
+		if b := st.classes[i].pop(); b != nil {
+			st.kept--
+			return b[:n]
+		}
+	}
+	st.misses++
+	cl := &st.classes[idx]
+	cl.live++
+	cl.free = slices.Grow(cl.free, cl.live)
+	return make([]byte, n, size)
+}
+
+// put takes back a buffer from get; the caller must not touch it afterwards.
+func (st *store) put(b []byte) {
+	if b == nil {
+		return
+	}
+	idx, _ := bufpool.ClassOf(cap(b))
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.puts++
+	if st.kept == st.limit {
+		small := 0
+		for len(st.classes[small].free) == 0 {
+			small++
+		}
+		if small >= idx {
+			st.classes[idx].live--
+			return
+		}
+		st.classes[small].pop()
+		st.classes[small].live--
+		st.kept--
+	}
+	bufpool.Poison(b)
+	cl := &st.classes[idx]
+	cl.free = append(cl.free, b[:0])
+	st.kept++
+}
+
+// pop removes and returns the class's most recently kept buffer, or nil.
+func (cl *cellClass) pop() []byte {
+	last := len(cl.free) - 1
+	if last < 0 {
+		return nil
+	}
+	b := cl.free[last]
+	cl.free[last] = nil
+	cl.free = cl.free[:last]
+	return b
 }

@@ -1,9 +1,13 @@
 package shmq
 
 import (
+	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bufpool"
 )
 
 func TestEnqueueDequeueFIFO(t *testing.T) {
@@ -197,6 +201,177 @@ func TestCellsDoNotAlias(t *testing.T) {
 	if string(a.Payload()) != "aaaaaaaa" {
 		t.Fatal("cell buffers alias")
 	}
+}
+
+// TestCellStoreLifecycle: a cell holds a payload buffer only while it is
+// full. After the traffic drains, every buffer lent is back, no free cell
+// holds one, and the store keeps no more buffers than were ever full at once
+// nor than the pool has cells. Under -race a buffer given back is poisoned,
+// so a payload read after its release shows. The concurrent variant
+// releases from several receiver goroutines into the one sender pool, as
+// Nemesis receivers do.
+func TestCellStoreLifecycle(t *testing.T) {
+	const numCells, cellSize = 16, 1 << 10
+	fill := func(b []byte, seed int) {
+		for i := range b {
+			b[i] = byte(seed*31 + i)
+		}
+	}
+	sizeOf := func(i int) int { return []int{1, 64, 65, 200, 700, cellSize}[i%6] }
+	drained := func(t *testing.T, p *Pool, peak int) {
+		st := &p.store
+		if st.gets != st.puts {
+			t.Fatalf("%d buffers lent, %d given back", st.gets, st.puts)
+		}
+		free := 0
+		for c := p.GetFree(); c != nil; c = p.GetFree() {
+			if c.buf != nil {
+				t.Fatal("a free cell holds a payload buffer")
+			}
+			free++
+		}
+		if free != numCells {
+			t.Fatalf("%d free cells after the drain, want %d", free, numCells)
+		}
+		if st.kept > peak || st.kept > numCells {
+			t.Fatalf("store keeps %d buffers, peak full %d, %d cells", st.kept, peak, numCells)
+		}
+	}
+
+	t.Run("sequential", func(t *testing.T) {
+		p, _ := NewPool(numCells, cellSize)
+		var full []*Cell
+		peak, seq := 0, 0
+		release := func() {
+			c := full[0]
+			full = full[1:]
+			want := make([]byte, len(c.Payload()))
+			fill(want, int(c.Hdr.SeqNo))
+			if !bytes.Equal(c.Payload(), want) {
+				t.Fatalf("cell %d payload corrupted", c.Hdr.SeqNo)
+			}
+			kept := c.Payload()
+			p.Release(c)
+			if bufpool.PoisonOnPut && len(kept) > 0 && kept[0] != 0xdb {
+				t.Fatal("a buffer given back was not poisoned")
+			}
+		}
+		// Bursts of growing depth, each drained before the next. Every
+		// burst draws the same sequence of sizes, so the deepest one is
+		// every class's high-water mark, and what the store keeps is
+		// bounded by that burst's depth.
+		for depth := 1; depth < numCells; depth += 5 {
+			for i := 0; i < depth; i++ {
+				c := p.GetFree()
+				if c == nil {
+					t.Fatal("free queue exhausted")
+				}
+				msg := make([]byte, sizeOf(i))
+				fill(msg, seq)
+				c.Hdr.SeqNo = uint32(seq)
+				c.SetPayload(msg)
+				full = append(full, c)
+				seq++
+			}
+			peak = max(peak, len(full))
+			for len(full) > 0 {
+				release()
+			}
+		}
+		misses := p.store.misses
+		// A repeat of the deepest burst is served from what the store kept.
+		for i := 0; i < peak; i++ {
+			c := p.GetFree()
+			c.SetPayload(make([]byte, sizeOf(i)))
+			full = append(full, c)
+		}
+		for _, c := range full {
+			p.Release(c)
+		}
+		full = nil
+		if got := p.store.misses - misses; got != 0 {
+			t.Fatalf("a repeated burst allocated %d buffers", got)
+		}
+		drained(t, p, peak)
+	})
+
+	// At the limit a larger buffer displaces a smaller one, and a class
+	// with none free borrows a larger one: bursts that alternate between
+	// filling every cell with small payloads and with large ones settle
+	// after one round instead of allocating the large ones every time.
+	t.Run("shifting sizes", func(t *testing.T) {
+		p, _ := NewPool(numCells, cellSize)
+		burst := func(n int) {
+			var full []*Cell
+			for c := p.GetFree(); c != nil; c = p.GetFree() {
+				c.SetPayload(make([]byte, n))
+				full = append(full, c)
+			}
+			for _, c := range full {
+				p.Release(c)
+			}
+		}
+		burst(100)
+		burst(cellSize)
+		misses := p.store.misses
+		for round := 0; round < 3; round++ {
+			burst(100)
+			burst(cellSize)
+		}
+		if got := p.store.misses - misses; got != 0 {
+			t.Fatalf("alternating bursts allocated %d buffers after the first round", got)
+		}
+		drained(t, p, numCells)
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		const receivers, perReceiver = 4, 500
+		p, _ := NewPool(numCells, cellSize)
+		queues := make([]*Queue, receivers)
+		var wg sync.WaitGroup
+		corrupted := make([]int, receivers)
+		for r := range queues {
+			queues[r] = &Queue{}
+			wg.Add(1)
+			go func(r int, q *Queue) {
+				defer wg.Done()
+				for got := 0; got < perReceiver; {
+					c := q.Dequeue()
+					if c == nil {
+						runtime.Gosched()
+						continue
+					}
+					want := make([]byte, len(c.Payload()))
+					fill(want, int(c.Hdr.SeqNo))
+					if !bytes.Equal(c.Payload(), want) {
+						corrupted[r]++
+					}
+					p.Release(c)
+					got++
+				}
+			}(r, queues[r])
+		}
+		for seq := 0; seq < receivers*perReceiver; {
+			c := p.GetFree()
+			if c == nil {
+				runtime.Gosched() // every cell is out: wait for a receiver to release one
+				continue
+			}
+			msg := make([]byte, sizeOf(seq))
+			fill(msg, seq)
+			c.Hdr.SeqNo = uint32(seq)
+			c.SetPayload(msg)
+			queues[seq%receivers].Enqueue(c)
+			seq++
+		}
+		wg.Wait()
+		for r, n := range corrupted {
+			if n > 0 {
+				t.Fatalf("receiver %d got %d corrupted payloads", r, n)
+			}
+		}
+		drained(t, p, numCells)
+	})
 }
 
 // Property: any interleaving of enqueue/dequeue operations driven by a

@@ -19,6 +19,7 @@ package simnet
 import (
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/vtime"
 )
 
@@ -165,7 +166,7 @@ type Rail struct {
 	dist func(from, to int) int
 	// free holds the landed in-flight records for reuse; it fills only from
 	// transfers that completed, so its size is the rail's peak in-flight count.
-	free []*inflight
+	free bufpool.List[inflight]
 	// Stats
 	Packets   int64
 	BytesSent int64
@@ -208,9 +209,6 @@ func (n *Network) Rails() []*Rail { return n.rails }
 // Rail returns rail i.
 func (n *Network) Rail(i int) *Rail { return n.rails[i] }
 
-// NumRails returns the number of configured rails.
-func (n *Network) NumRails() int { return len(n.rails) }
-
 // Delivery carries an arrived wire packet to its consumer callback.
 type Delivery struct {
 	Rail     *Rail
@@ -238,7 +236,7 @@ type inflight struct {
 func (f *inflight) land() {
 	d, fn := f.d, f.fn
 	f.d, f.fn = Delivery{}, nil
-	f.rail.free = append(f.rail.free, f)
+	f.rail.free.Put(f)
 	fn(d)
 }
 
@@ -286,12 +284,9 @@ func (r *Rail) Transfer(from, to, size int, payload interface{}, onDelivered fun
 	r.Packets++
 	r.BytesSent += int64(size)
 
-	var f *inflight
-	if n := len(r.free); n > 0 {
-		f = r.free[n-1]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
-	} else {
+	f := r.free.Get()
+	if f == nil {
+		r.free.Made()
 		f = &inflight{rail: r}
 		f.fire = f.land
 	}

@@ -471,6 +471,7 @@ func wireBackend(cfg Config, e *vtime.Engine, net *simnet.Network,
 		// resolver — an all-pairs Connect pass here would cost O(NP²) gates
 		// while a log-depth collective touches O(log NP) peers per rank.
 		resolve := func(rank int) *nmad.Core { return cores[rank] }
+		pools := new(nmad.Pools)
 		for r := 0; r < cfg.NP; r++ {
 			mgr := mgrs[r]
 			// The core's deferred work and arrival notifications route to
@@ -490,6 +491,7 @@ func wireBackend(cfg Config, e *vtime.Engine, net *simnet.Network,
 				Notify: func() { mgr.NotifyShard(coreShard) },
 				Rec:    recs[r],
 				Bufs:   bufs,
+				Pools:  pools,
 			})
 			coreShard = mgrs[r].Register(cores[r], pioman.ClassNet)
 		}

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/cluster"
@@ -413,5 +415,81 @@ func TestConcurrentNbcStress(t *testing.T) {
 	}
 	if cs.ReqInFlight < np {
 		t.Errorf("peak in-flight requests %d, want at least %d", cs.ReqInFlight, np)
+	}
+}
+
+// TestFirstCachedBarrierZeroAlloc pins the first timed batch of a pingpong
+// at zero allocations, process-wide: after a warm-up echo batch and the
+// Barrier that compiles its schedule, the first cached Barriers and one
+// more echo batch allocate nothing, on the network path and on the
+// shared-memory path. The bracket is the one a time-boxed benchmark puts
+// round its first timed batch — rank 0 reads the counters between two
+// Barriers and after the next one — with the collector off and one P, so
+// a single malloc shows. testing.AllocsPerRun is no use here: its own
+// warm-up call would absorb exactly the allocations this test is after.
+//
+// A second bracket then runs thousands of cached Barriers: an interface
+// assertion on the Barrier path allocates at random, about one call in a
+// thousand until the runtime has filled that site's type cache, which a
+// pingpong's few Barriers a batch leave to chance; this many calls show it
+// nineteen times in twenty.
+func TestFirstCachedBarrierZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name      string
+		placement topo.Placement
+	}{
+		{"inter-node", topo.Placement{0, 1}},
+		{"intra-node", topo.Placement{0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := xeonCfg(2, cluster.MPICH2NmadIB())
+			cfg.Placement = tc.placement
+			var before, after, last runtime.MemStats
+			_, err := Run(cfg, func(c *Comm) {
+				msg, buf := make([]byte, 1024), make([]byte, 1024)
+				batch := func() {
+					for i := 0; i < 50; i++ {
+						if c.Rank() == 0 {
+							c.Send(1, 3, msg)
+							c.Recv(1, 3, buf)
+						} else {
+							st := c.Recv(0, 3, buf)
+							c.Send(0, 3, buf[:st.Len])
+						}
+					}
+				}
+				batch()
+				c.Barrier() // compiles the barrier's schedule
+				if c.Rank() == 0 {
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+				}
+				c.Barrier() // the first cached one
+				batch()
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+				}
+				for i := 0; i < 3000; i++ {
+					c.Barrier()
+				}
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&last)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("%s: the first cached Barriers and one echo batch allocate %d objects (%d B), want 0",
+					tc.name, n, after.TotalAlloc-before.TotalAlloc)
+			}
+			if n := last.Mallocs - after.Mallocs; n != 0 {
+				t.Fatalf("%s: 3000 more cached Barriers allocate %d objects (%d B), want 0",
+					tc.name, n, last.TotalAlloc-after.TotalAlloc)
+			}
+		})
 	}
 }
