@@ -1,10 +1,14 @@
-// Package bufpool holds the simulator's recycled stores. A Pool is the
-// store behind unexpected messages: the CH3 unexpected queue and
-// NewMadeleine's unexpected list copy an eager payload that arrived before
-// its receive into a buffer from a Pool, track it in a record from a
+// Package bufpool holds the simulator's recycled stores. A Pool holds the
+// payload buffers the transports copy messages into; a world shares one
+// across its ranks. A network send copies an eager payload into a Pool
+// buffer before it completes — the bounce copy of §2.1.3 — so the sender may
+// reuse its memory as soon as the send returns, and the buffer goes back
+// once the receiver has handled the packet. The CH3 unexpected queue and
+// NewMadeleine's unexpected list keep an eager payload that arrived before
+// its receive in a Pool buffer (NewMadeleine takes the sender's bounce
+// buffer over instead of copying it again), track it in a record from a
 // Records list, and hand both back once the matching receive has copied the
-// payload out. That lifecycle is receiver-local — nothing a sender reads
-// ever lives there. List is the free list behind the transports' recycled
+// payload out. List is the free list behind the transports' recycled
 // requests, packet wrappers, jobs and in-flight records, and ClassOf the
 // size classes that shared-memory cells borrow their payloads in.
 package bufpool
@@ -12,37 +16,54 @@ package bufpool
 import (
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Buffer capacities step four times per octave — 64, 80, 96, 112, 128, 160 …
 // up to maxSize, the largest eager payload either transport buffers — so a
-// buffer wastes under a quarter of itself, and a class keeps at most
-// perClass of them; what a burst hands back beyond that is left to the
-// collector. Retention is therefore bounded by Budget bytes however deep
-// the burst was, and a class costs in proportion to its buffer size: a flood
-// of small messages retains little, a few large ones are all kept.
+// buffer wastes under a quarter of itself. A Pool keeps two tiers of them.
+// Classes up to strongMax are held strongly: each keeps at most perClass
+// buffers, what a burst hands back beyond that is left to the collector, and
+// their retention is bounded by Budget bytes however deep the burst was. The
+// larger classes are held weakly, in a sync.Pool each, which the collector
+// may empty: a burst of large eager messages is recycled while it lasts, and
+// an idle world retains none of it. Small classes stay strong because a
+// sync.Pool rebuilds its per-P store after every collection, an allocation
+// the steady small-message paths cannot afford.
 const (
-	minSize  = 1 << minBits
-	maxSize  = 1 << maxBits
-	minBits  = 6
-	maxBits  = 16
-	nClasses = 1 + 4*(maxBits-minBits)
-	perClass = 16
-	// Budget sums every class: the steps of the octave ending at 2^t are
-	// (5+6+7+8)/8 of it.
-	Budget = perClass * (minSize + 26*(2*maxSize-2*minSize)/8)
+	minSize    = 1 << minBits
+	strongMax  = 1 << strongBits
+	maxSize    = 1 << maxBits
+	minBits    = 6
+	strongBits = 12
+	maxBits    = 16
+	nStrong    = 1 + 4*(strongBits-minBits)
+	nClasses   = 1 + 4*(maxBits-minBits)
+	perClass   = 16
+	// Budget sums every strong class: the steps of the octave ending at 2^t
+	// are (5+6+7+8)/8 of it.
+	Budget = perClass * (minSize + 26*(2*strongMax-2*minSize)/8)
 )
 
-// Pool is a size-classed LIFO free list of byte buffers. The zero value is
-// ready to use. One simulated process runs at a time, so a world shares one
-// Pool without locking.
+// Pool is a size-classed store of byte buffers: a LIFO free list per strong
+// class, a sync.Pool per weak one. The zero value is ready to use; a Pool
+// must not be copied after first use. One simulated process runs at a time,
+// so a world shares one Pool without locking.
 type Pool struct {
-	free [nClasses][][]byte
+	free [nStrong][][]byte
+	weak [nClasses - nStrong]sync.Pool // of *holder
+	// holders recycles the records a weak class keeps its buffers in, so
+	// that handing a buffer back allocates nothing.
+	holders List[holder]
 
 	// Gets, Puts and Misses count buffers handed out, handed back and
 	// allocated (zero-length requests count as none of them).
 	Gets, Puts, Misses int64
 }
+
+// holder carries a buffer through a sync.Pool, which boxes what it holds: a
+// pointer boxes for free, a slice header would not.
+type holder struct{ b []byte }
 
 // ClassOf returns the index and capacity of the smallest class holding n
 // bytes (n > 0). The classes go on past maxSize in the same quarter-octave
@@ -67,11 +88,18 @@ func (p *Pool) Get(n int) []byte {
 		return make([]byte, n)
 	}
 	idx, size := ClassOf(n)
-	list := &p.free[idx]
-	if last := len(*list) - 1; last >= 0 {
-		b := (*list)[last]
-		(*list)[last] = nil
-		*list = (*list)[:last]
+	if idx < nStrong {
+		list := &p.free[idx]
+		if last := len(*list) - 1; last >= 0 {
+			b := (*list)[last]
+			(*list)[last] = nil
+			*list = (*list)[:last]
+			return b[:n]
+		}
+	} else if h, _ := p.weak[idx-nStrong].Get().(*holder); h != nil {
+		b := h.b
+		h.b = nil
+		p.holders.Put(h)
 		return b[:n]
 	}
 	p.Misses++
@@ -90,12 +118,24 @@ func (p *Pool) Put(b []byte) {
 		return
 	}
 	idx, size := ClassOf(c)
-	list := &p.free[idx]
-	if size != c || len(*list) == perClass {
-		return // not a capacity Get hands out, or the class is full
+	if size != c {
+		return // not a capacity Get hands out
+	}
+	if idx < nStrong {
+		if list := &p.free[idx]; len(*list) < perClass {
+			Poison(b)
+			*list = append(*list, b[:0])
+		}
+		return // else the class is full
 	}
 	Poison(b)
-	*list = append(*list, b[:0])
+	h := p.holders.Get()
+	if h == nil {
+		p.holders.Made()
+		h = new(holder)
+	}
+	h.b = b[:0]
+	p.weak[idx-nStrong].Put(h)
 }
 
 // Poison overwrites all of b's capacity when PoisonOnPut is set, so that a
@@ -109,7 +149,8 @@ func Poison(b []byte) {
 	}
 }
 
-// Retained returns the bytes of capacity currently held for reuse.
+// Retained returns the bytes of capacity the strong classes hold for reuse;
+// what the weak classes hold is the collector's to keep or take.
 func (p *Pool) Retained() int {
 	n := 0
 	for _, list := range p.free {

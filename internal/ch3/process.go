@@ -29,7 +29,8 @@ type Config struct {
 	// in-flight-requests gauge under canonical names; nil keeps standalone
 	// counters.
 	Metrics *trace.Registry
-	// Bufs is the store unexpected eager payloads are buffered in; a world
+	// Bufs is the store unexpected eager payloads are buffered in, and that
+	// packet backends bounce-copy eager network payloads into; a world
 	// shares one across its ranks. Nil gives the process one of its own.
 	Bufs *bufpool.Pool
 	// NoPooling disables this layer's request and shm-job free lists: every
@@ -270,6 +271,9 @@ func (p *Process) VCOf(rank int) *VC { return &p.peer(rank).vc }
 
 // Engine returns the simulation engine.
 func (p *Process) Engine() *vtime.Engine { return p.e }
+
+// Bufs returns the process's payload store (Config.Bufs).
+func (p *Process) Bufs() *bufpool.Pool { return p.cfg.Bufs }
 
 // ShmMemBW returns the node copy bandwidth (0 when no shm endpoint).
 func (p *Process) ShmMemBW() float64 {
@@ -720,9 +724,17 @@ func (p *Process) HandleArrival(hdr shmq.Header, payload []byte, org Origin) vti
 	case shmq.CellCTS:
 		return p.handleCTS(hdr, org)
 	case shmq.CellRdvData:
-		return p.handleRdvData(hdr, payload, org)
+		return p.handleRdvData(hdr, payload, len(payload), org)
 	}
 	panic(fmt.Sprintf("ch3[%d]: unknown packet type %d", p.Rank, hdr.Type))
+}
+
+// HandleLandedRdvData processes the arrival of an n-byte rendezvous data
+// packet whose payload the backend already copied into the receive buffer
+// (RdvInReq) when the send completed: HandleArrival's bookkeeping, without
+// the copy.
+func (p *Process) HandleLandedRdvData(hdr shmq.Header, n int, org Origin) vtime.Duration {
+	return p.handleRdvData(hdr, nil, n, org)
 }
 
 func (p *Process) handleEagerFrag(hdr shmq.Header, payload []byte, org Origin) vtime.Duration {
@@ -845,16 +857,18 @@ func (p *Process) handleCTS(hdr shmq.Header, org Origin) vtime.Duration {
 	return p.cfg.CTSCost
 }
 
-func (p *Process) handleRdvData(hdr shmq.Header, payload []byte, org Origin) vtime.Duration {
+// handleRdvData accounts an n-byte rendezvous data packet, copying payload
+// into the receive buffer unless it has already landed there (nil payload).
+func (p *Process) handleRdvData(hdr shmq.Header, payload []byte, n int, org Origin) vtime.Duration {
 	p.rec.Instant("proto", "rdv-data",
-		trace.Str("via", org.OriginName()), trace.Int64("bytes", int64(len(payload))))
+		trace.Str("via", org.OriginName()), trace.Int64("bytes", int64(n)))
 	r := p.rdvIn[hdr.ReqID]
 	if r == nil {
 		panic(fmt.Sprintf("ch3[%d]: rdv data for unknown cookie %d", p.Rank, hdr.ReqID))
 	}
 	copySlice(r.buf, int(hdr.Offset), payload)
-	cost := org.DataCopyCost(p, len(payload))
-	r.remaining -= len(payload)
+	cost := org.DataCopyCost(p, n)
+	r.remaining -= n
 	if r.remaining <= 0 {
 		delete(p.rdvIn, hdr.ReqID)
 		r.Complete()

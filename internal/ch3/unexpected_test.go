@@ -2,6 +2,7 @@ package ch3
 
 import (
 	"bytes"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -14,11 +15,16 @@ import (
 // posted receives for — single-cell, multi-fragment, zero-length, one it
 // will truncate — lets them all land in the unexpected queue, drains them
 // newest first, and then takes a message it claims while only part of it has
-// arrived (fed cell by cell, so the claim finds it mid-assembly). Every payload must come out intact (under -race a buffer handed
-// back too early is poisoned), every buffer taken from the store must be
-// back in it, and a second flood must be served from what the first
-// returned.
+// arrived (fed cell by cell, so the claim finds it mid-assembly). Every
+// payload must come out intact (under -race a buffer handed back too early
+// is poisoned), every buffer taken from the store must be back in it, and a
+// second flood must be served from what the first returned. The collector
+// is off, so nothing empties the store's weak classes (above 4 KiB) in
+// between; under -race a sync.Pool drops a random share of what it is
+// handed, so there the three 5000-byte payloads may allocate again.
 func TestUnexpectedStoreLifecycle(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const weak = 3 // payloads above 4 KiB after the first flood
 	pool := new(bufpool.Pool)
 	e, ps := node2(t, nemesis.Options{CellPayload: 1024, NumCells: 64}, Config{Bufs: pool})
 	sizes := []int{100, 5000, 0, 300, 1024, 1025, 40, 3000, 100, 5000, 7, 2047}
@@ -97,8 +103,8 @@ func TestUnexpectedStoreLifecycle(t *testing.T) {
 				t.Errorf("claimed partial assembly: done=%v, payload intact=%v", r.Done(), bytes.Equal(buf, partial))
 			}
 		})
-	if pool.Misses != missesAfterFirst {
-		t.Errorf("second flood and the claim allocated %d buffers, want none", pool.Misses-missesAfterFirst)
+	if got := pool.Misses - missesAfterFirst; got > weak || (!bufpool.PoisonOnPut && got != 0) {
+		t.Errorf("second flood and the claim allocated %d buffers, want none (at most %d under -race)", got, weak)
 	}
 	if got := pool.Retained(); got == 0 || got > bufpool.Budget {
 		t.Errorf("store retains %d bytes, budget %d", got, bufpool.Budget)

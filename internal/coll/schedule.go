@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"slices"
 	"sort"
 	"unsafe"
 
@@ -112,30 +111,15 @@ func init() {
 	}
 }
 
-// ValueSender is the optional substrate extension that says which sends are
-// by value: SendCopies(peer) reports that the transport has copied a payload
-// toward peer by the time the send completes. Shared memory has (into
-// cells); the network transports read the sender's memory when the packet
-// arrives, after the send completed at NIC drain. A substrate without it is
-// by-reference everywhere. Once every transport copies at submission, the
-// interface and the image in SendPayload both go.
-type ValueSender interface {
-	SendCopies(peer int) bool
-}
-
 // SendPayload returns a send prim's wire bytes — both executors send through
-// here. A float send transmits a vector that later rounds and then the
-// caller overwrite, so it goes out as the vector's memory only when vs
-// vouches for the peer, and as a private image of it otherwise.
-func SendPayload(pr *Prim, vs ValueSender) []byte {
+// here. A float send goes out as the vector's own memory, although later
+// rounds and then the caller overwrite it: every transport has copied a
+// payload by the time its send completes.
+func SendPayload(pr *Prim) []byte {
 	if pr.AccF64 == nil {
 		return pr.Buf
 	}
-	view := f64View(pr.AccF64)
-	if vs != nil && vs.SendCopies(pr.Peer) {
-		return view
-	}
-	return slices.Clone(view)
+	return f64View(pr.AccF64)
 }
 
 // RecvBuf returns the bytes a receive prim lands in.
@@ -216,23 +200,16 @@ func ExecBlocking(p PtPt, s *Schedule, tag int32) {
 // ExecBlockingRec is ExecBlocking with per-round trace slices recorded on
 // rec's rounds track (nil rec records nothing).
 func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
-	// p's optional extensions are asserted only for a prim that uses them,
-	// so a schedule without rail hints or float sends (a Barrier) asserts
-	// nothing: until an assertion site's type cache is filled, the runtime
-	// fills it at random, about one call in a thousand, with an allocation.
+	// p's optional extension is asserted only for a prim with a rail hint,
+	// so a schedule without them (a Barrier) asserts nothing: until an
+	// assertion site's type cache is filled, the runtime fills it at random,
+	// about one call in a thousand, with an allocation.
 	rail := func(pr *Prim) RailPtPt {
 		if pr.Rail == 0 {
 			return nil
 		}
 		rp, _ := p.(RailPtPt)
 		return rp
-	}
-	payload := func(pr *Prim) []byte {
-		if pr.AccF64 == nil {
-			return pr.Buf
-		}
-		vs, _ := p.(ValueSender)
-		return SendPayload(pr, vs)
 	}
 	name := ""
 	if rec.Enabled() {
@@ -259,17 +236,17 @@ func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
 		}
 		if !multi && send != nil && recv != nil {
 			if rp := rail(send); rp != nil {
-				rp.SendRecvRailT(send.Peer, payload(send), recv.Peer, RecvBuf(recv), tag, send.Rail)
+				rp.SendRecvRailT(send.Peer, SendPayload(send), recv.Peer, RecvBuf(recv), tag, send.Rail)
 			} else {
-				p.SendRecvT(send.Peer, payload(send), recv.Peer, RecvBuf(recv), tag)
+				p.SendRecvT(send.Peer, SendPayload(send), recv.Peer, RecvBuf(recv), tag)
 			}
 		} else {
 			for i := range rd.Comm {
 				if pr := &rd.Comm[i]; pr.Kind == PrimSend {
 					if rp := rail(pr); rp != nil {
-						rp.SendRailT(pr.Peer, tag, payload(pr), pr.Rail)
+						rp.SendRailT(pr.Peer, tag, SendPayload(pr), pr.Rail)
 					} else {
-						p.SendT(pr.Peer, tag, payload(pr))
+						p.SendT(pr.Peer, tag, SendPayload(pr))
 					}
 				}
 			}

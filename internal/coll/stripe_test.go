@@ -181,7 +181,7 @@ func TestStripedScheduleSameDataMovement(t *testing.T) {
 		}
 		for i := range b {
 			if b[i].Kind != st[i].Kind || b[i].Peer != st[i].Peer ||
-				len(SendPayload(&b[i], nil)) != len(SendPayload(&st[i], nil)) {
+				len(SendPayload(&b[i])) != len(SendPayload(&st[i])) {
 				t.Fatalf("round %d prim %d: data movement differs", ri, i)
 			}
 			if st[i].Rail != 0 {

@@ -35,33 +35,23 @@ func TestReduceLoopsMatchOperators(t *testing.T) {
 	}
 }
 
-type sendsCopy bool
-
-func (s sendsCopy) SendCopies(int) bool { return bool(s) }
-
-// TestSendPayloadViewOrImage: a float send is the vector's own memory only
-// toward a peer the substrate vouches for; toward any other peer, and on a
-// substrate that says nothing, it is a private image. Either way the bytes
-// are the wire codec's, and a float receive lands in the vector's memory.
-func TestSendPayloadViewOrImage(t *testing.T) {
+// TestSendPayloadIsView: a float send is the vector's own memory — every
+// transport copies a payload by the time its send completes, so no private
+// image is needed — in the bytes of the wire codec; a byte send goes out as
+// it is, and a float receive lands in the vector's memory.
+func TestSendPayloadIsView(t *testing.T) {
 	x := []float64{1, -2.5, math.Pi, 1e-300}
 	wire := F64Bytes(x)
 	pr := sendF64(1, x)
-	for _, tc := range []struct {
-		name string
-		vs   ValueSender
-		view bool
-	}{{"no ValueSender", nil, false}, {"by reference", sendsCopy(false), false}, {"by value", sendsCopy(true), true}} {
-		got := SendPayload(&pr, tc.vs)
-		if !bytes.Equal(got, wire) {
-			t.Fatalf("%s: payload %x, wire format %x", tc.name, got, wire)
-		}
-		if aliases := unsafe.SliceData(got) == (*byte)(unsafe.Pointer(&x[0])); aliases != tc.view {
-			t.Fatalf("%s: payload aliases the vector = %v, want %v", tc.name, aliases, tc.view)
-		}
+	got := SendPayload(&pr)
+	if !bytes.Equal(got, wire) {
+		t.Fatalf("payload %x, wire format %x", got, wire)
+	}
+	if unsafe.SliceData(got) != (*byte)(unsafe.Pointer(&x[0])) {
+		t.Fatal("a float send must go out as the vector's memory")
 	}
 	static := sendP(1, wire)
-	if got := SendPayload(&static, nil); unsafe.SliceData(got) != unsafe.SliceData(wire) {
+	if got := SendPayload(&static); unsafe.SliceData(got) != unsafe.SliceData(wire) {
 		t.Fatal("a byte send must go out as it is")
 	}
 

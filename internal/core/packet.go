@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/ch3"
 	"repro/internal/nmad"
 	"repro/internal/pioman"
@@ -45,11 +46,20 @@ func (c PacketConfig) withDefaults() PacketConfig {
 	return c
 }
 
-// netPkt is one arrived network packet awaiting the progress engine.
+// netPkt is one network packet, from its submission until the receiver's
+// progress engine has handed it to CH3.
 type netPkt struct {
 	hdr     shmq.Header
 	data    []byte
 	consume vtime.Duration
+	// bufs is the store an eager payload was bounce-copied from, which gets
+	// it back once CH3 has handled the packet; nil when data is the
+	// sender's memory (a rendezvous chunk).
+	bufs *bufpool.Pool
+	// handled marks a packet the receiver's Poll has handed to CH3; landed,
+	// a rendezvous chunk the sender copied into the receive buffer before
+	// that (SendRdvData).
+	handled, landed bool
 }
 
 // Packet is a central-matching network backend over a raw simulated rail.
@@ -64,7 +74,7 @@ type Packet struct {
 
 	peers []*Packet // by rank; nil for self/same-node
 
-	inbox []netPkt
+	inbox []*netPkt
 
 	// Stats.
 	PktsSent int64
@@ -112,11 +122,20 @@ func (b *Packet) Poll() (int, vtime.Duration) {
 	var cost vtime.Duration
 	for len(b.inbox) > 0 {
 		pkt := b.inbox[0]
+		b.inbox[0] = nil
 		b.inbox = b.inbox[1:]
+		pkt.handled = true
 		events++
 		b.PktsRecv++
 		cost += pkt.consume + b.cfg.PacketCost
-		cost += b.p.HandleArrival(pkt.hdr, pkt.data, netOrigin{b})
+		if pkt.landed {
+			cost += b.p.HandleLandedRdvData(pkt.hdr, len(pkt.data), netOrigin{b})
+		} else {
+			cost += b.p.HandleArrival(pkt.hdr, pkt.data, netOrigin{b})
+		}
+		if pkt.bufs != nil {
+			pkt.bufs.Put(pkt.data)
+		}
 	}
 	return events, cost
 }
@@ -140,7 +159,13 @@ func (b *Packet) Isend(proc *vtime.Proc, req *ch3.Request) {
 		if b.cfg.CopyOnSend {
 			extra = copyCostAt(len(data), b.p.ShmMemBW())
 		}
-		b.sendPacket(req.Dest(), hdr, data, extra, false, false, func() {
+		// Copy into a bounce buffer — the copy SubmitEager charges for — so
+		// the send may complete at NIC drain and its sender reuse its
+		// memory from then on, however late the receiver handles the packet.
+		bufs := b.p.Bufs()
+		pkt := &netPkt{hdr: hdr, data: bufs.Get(len(data)), bufs: bufs}
+		copy(pkt.data, data)
+		b.sendPacket(req.Dest(), pkt, extra, false, false, func() {
 			if !req.Done() {
 				req.Complete()
 			}
@@ -150,19 +175,16 @@ func (b *Packet) Isend(proc *vtime.Proc, req *ch3.Request) {
 	cookie := b.p.RegisterRdvOut(req)
 	hdr := shmq.Header{Type: shmq.CellRTS, Src: int32(b.p.Rank), Tag: tag,
 		Ctx: ctx, MsgLen: int64(len(data)), ReqID: cookie}
-	b.sendPacket(req.Dest(), hdr, nil, 0, false, false, nil)
+	b.sendPacket(req.Dest(), &netPkt{hdr: hdr}, 0, false, false, nil)
 }
 
 // sendPacket submits one packet: host submission cost is deferred to the
 // progress engine (PostTask), then the wire transfer runs. rdv selects the
 // zero-copy (registration) cost model instead of the eager bounce copy.
-func (b *Packet) sendPacket(dst int, hdr shmq.Header, data []byte,
+func (b *Packet) sendPacket(dst int, pkt *netPkt,
 	extraCost vtime.Duration, rdv, cachedReg bool, onSubmitted func()) {
-	peer := b.peers[dst]
-	if peer == nil {
-		panic(fmt.Sprintf("core[%d]: packet to unlinked rank %d", b.p.Rank, dst))
-	}
-	size := b.cfg.HeaderBytes + len(data)
+	peer := b.peer(dst)
+	size := b.cfg.HeaderBytes + len(pkt.data)
 	var cost vtime.Duration
 	if rdv {
 		cost = b.rail.Params.SubmitRdv(size, cachedReg)
@@ -173,11 +195,10 @@ func (b *Packet) sendPacket(dst int, hdr shmq.Header, data []byte,
 	from, to := b.node, peer.node
 	b.mgr.PostTask(pioman.Task{Cost: cost, Run: func() {
 		b.PktsSent++
-		b.rail.Transfer(from, to, size, &netPkt{hdr: hdr, data: data},
+		b.rail.Transfer(from, to, size, pkt,
 			func(d simnet.Delivery) {
-				pkt := d.Payload.(*netPkt)
 				pkt.consume = d.ConsumeCost
-				peer.inbox = append(peer.inbox, *pkt)
+				peer.inbox = append(peer.inbox, pkt)
 				peer.mgr.Notify()
 			})
 		if onSubmitted != nil {
@@ -191,6 +212,15 @@ func (b *Packet) sendPacket(dst int, hdr shmq.Header, data []byte,
 	}})
 }
 
+// peer returns the backend of rank dst.
+func (b *Packet) peer(dst int) *Packet {
+	peer := b.peers[dst]
+	if peer == nil {
+		panic(fmt.Sprintf("core[%d]: packet to unlinked rank %d", b.p.Rank, dst))
+	}
+	return peer
+}
+
 // netOrigin routes CH3 rendezvous replies back over the packet backend.
 type netOrigin struct{ b *Packet }
 
@@ -199,7 +229,7 @@ func (o netOrigin) OriginName() string { return o.b.Name() }
 func (o netOrigin) SendCTS(p *ch3.Process, dst int32, senderCookie, recvCookie uint64, granted int) vtime.Duration {
 	hdr := shmq.Header{Type: shmq.CellCTS, Src: int32(p.Rank),
 		ReqID: senderCookie, Offset: int64(recvCookie), MsgLen: int64(granted)}
-	o.b.sendPacket(int(dst), hdr, nil, 0, false, false, nil)
+	o.b.sendPacket(int(dst), &netPkt{hdr: hdr}, 0, false, false, nil)
 	return 0
 }
 
@@ -210,26 +240,41 @@ func (o netOrigin) SendRdvData(p *ch3.Process, req *ch3.Request, dst int32, recv
 		chunk = granted
 	}
 	cached := o.b.rail.Params.RegCache
-	var offs []int
+	var pkts []*netPkt
 	for off := 0; off < granted; off += chunk {
-		offs = append(offs, off)
+		end := min(off+chunk, granted)
+		pkts = append(pkts, &netPkt{hdr: shmq.Header{Type: shmq.CellRdvData, Src: int32(p.Rank),
+			ReqID: recvCookie, Offset: int64(off), MsgLen: int64(granted)}, data: data[off:end]})
 	}
-	for i, off := range offs {
-		end := off + chunk
-		if end > granted {
-			end = granted
-		}
-		hdr := shmq.Header{Type: shmq.CellRdvData, Src: int32(p.Rank),
-			ReqID: recvCookie, Offset: int64(off), MsgLen: int64(granted)}
-		last := i == len(offs)-1
-		o.b.sendPacket(int(dst), hdr, data[off:end], 0, true, cached, func() {
+	for i, pkt := range pkts {
+		last := i == len(pkts)-1
+		o.b.sendPacket(int(dst), pkt, 0, true, cached, func() {
 			if last && !req.Done() {
+				o.land(dst, pkts)
 				req.Complete()
 			}
 		})
 	}
-	if len(offs) == 0 && !req.Done() {
+	if len(pkts) == 0 && !req.Done() {
 		req.Complete()
+	}
+}
+
+// land copies every chunk the receiver has not handled yet straight into
+// its receive buffer, at the drain of the last chunk — the event that
+// completes the send, after which the sender may reuse its memory. Earlier
+// chunks the receiver handles before then still read valid sender memory.
+// No virtual time moves: rendezvous data lands by RDMA at no host cost
+// either way, and a receive buffer is undefined until its request
+// completes.
+func (o netOrigin) land(dst int32, pkts []*netPkt) {
+	peer := o.b.peer(int(dst))
+	for _, pkt := range pkts {
+		if !pkt.handled {
+			buf := peer.p.RdvInReq(pkt.hdr.ReqID).Buffer()
+			copy(buf[pkt.hdr.Offset:], pkt.data)
+			pkt.landed = true
+		}
 	}
 }
 

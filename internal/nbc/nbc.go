@@ -49,9 +49,6 @@ type Transport interface {
 type Engine struct {
 	mgr *pioman.Manager
 	tr  Transport
-	// vs is tr's answer to which float sends need no private image (nil
-	// when tr does not implement coll.ValueSender: none).
-	vs  coll.ValueSender
 	rec *trace.Recorder
 
 	nextSeq int32
@@ -80,7 +77,6 @@ type Engine struct {
 // NewEngine binds a schedule engine to a progress manager and transport.
 func NewEngine(mgr *pioman.Manager, tr Transport) *Engine {
 	e := &Engine{mgr: mgr, tr: tr, pooling: true}
-	e.vs, _ = tr.(coll.ValueSender)
 	e.Instrument(nil, nil)
 	return e
 }
@@ -242,7 +238,7 @@ func (op *Op) issueRounds(proc *vtime.Proc) {
 			op.pending++
 			var r Req
 			if pr.Kind == coll.PrimSend {
-				r = op.eng.tr.Isend(proc, pr.Peer, tag, coll.SendPayload(pr, op.eng.vs), pr.Rail)
+				r = op.eng.tr.Isend(proc, pr.Peer, tag, coll.SendPayload(pr), pr.Rail)
 			} else {
 				r = op.eng.tr.Irecv(proc, pr.Peer, tag, coll.RecvBuf(pr))
 			}

@@ -43,8 +43,9 @@ type Options struct {
 	// Rec, when set, records library trace events (eager vs rendezvous
 	// submission, packet-wrapper activity, entry handling).
 	Rec *trace.Recorder
-	// Bufs is the store unexpected eager payloads are copied into; a world
-	// shares one across its ranks. Nil gives the core one of its own.
+	// Bufs is the store eager payloads are copied into on the send side,
+	// and that an eager payload arrived unexpected waits in; a world shares
+	// one across its ranks. Nil gives the core one of its own.
 	Bufs *bufpool.Pool
 	// Pools holds the free requests and packet wrappers; a world shares one
 	// across its ranks. Nil gives the core one of its own.
@@ -156,7 +157,7 @@ type unexp struct {
 	kind   EntryKind // EntryEager or EntryRTS
 	tag    uint64
 	msgLen int
-	data   []byte // copied eager payload
+	data   []byte // eager payload, in a buffer from the store
 	packID uint64 // RTS only
 }
 
@@ -598,16 +599,21 @@ func (c *Core) getPacket(g *Gate) *Packet {
 }
 
 // unref drops one pending event's hold on a pooled wrapper; the last one
-// clears what the wrapper references (payload slices, packs, gate) and
-// returns it to the free list.
+// hands its eager bounce buffers back, clears what the wrapper references
+// (payload slices, packs, gate) and returns it to the free list.
 func (pw *Packet) unref() {
 	if pw.refs--; pw.refs > 0 {
 		return
 	}
+	for i := range pw.Entries {
+		if en := &pw.Entries[i]; en.Kind == EntryEager {
+			pw.core.opt.Bufs.Put(en.Data)
+		}
+	}
 	clear(pw.Entries)
 	clear(pw.sends)
 	pw.Entries, pw.sends = pw.Entries[:0], pw.sends[:0]
-	pw.gate, pw.rdv = nil, nil
+	pw.gate, pw.rdv, pw.parsed = nil, nil, false
 	pw.core.opt.Pools.pws.Put(pw)
 }
 
@@ -662,6 +668,9 @@ func (pw *Packet) transmit() {
 func (pw *Packet) drain() {
 	c := pw.core
 	if r := pw.rdv; r != nil {
+		if !pw.parsed {
+			pw.land()
+		}
 		if r.chunks--; r.chunks == 0 {
 			c.finishSend(r)
 		}
@@ -671,6 +680,22 @@ func (pw *Packet) drain() {
 	}
 	c.opt.Notify()
 	pw.unref()
+}
+
+// land copies the rendezvous data chunks of a wrapper the receiver has not
+// parsed yet straight into the receive buffer, at the drain that completes
+// their share of the send: the sender's memory is still valid then and may
+// be reused right after. No virtual time moves — the data lands by RDMA at
+// no host cost either way — and a receive buffer is undefined until its
+// request completes, so writing it before the receiver parses the wrapper is
+// allowed. The receiver's handleEntry then does only the bookkeeping.
+func (pw *Packet) land() {
+	recvRdv := pw.gate.peer.recvRdv
+	for i := range pw.Entries {
+		en := &pw.Entries[i]
+		copy(recvRdv[en.RecvID].buf[en.Offset:], en.Data)
+		en.landed = true
+	}
 }
 
 // deliverPw runs in engine context when a packet wrapper reaches this
@@ -700,8 +725,9 @@ func (c *Core) Poll() (int, vtime.Duration) {
 			trace.Int64("src", int64(in.pw.From)),
 			trace.Int64("entries", int64(len(in.pw.Entries))))
 		cost += in.consume + c.opt.PwParseCost
-		for _, en := range in.pw.Entries {
-			cost += c.handleEntry(in.pw.From, en)
+		in.pw.parsed = true
+		for i := range in.pw.Entries {
+			cost += c.handleEntry(in.pw, &in.pw.Entries[i])
 		}
 		in.pw.unref()
 	}
@@ -717,8 +743,9 @@ func (c *Core) Poll() (int, vtime.Duration) {
 	return events, cost
 }
 
-// handleEntry dispatches one arrived entry; returns its host cost.
-func (c *Core) handleEntry(fromRank int, en Entry) vtime.Duration {
+// handleEntry dispatches one arrived entry of pw; returns its host cost.
+func (c *Core) handleEntry(pw *Packet, en *Entry) vtime.Duration {
+	fromRank := pw.From
 	g := c.Gate(fromRank)
 	if g == nil {
 		panic(fmt.Sprintf("nmad[%d]: entry from unconnected rank %d", c.rank, fromRank))
@@ -732,9 +759,17 @@ func (c *Core) handleEntry(fromRank int, en Entry) vtime.Duration {
 			cost += copyCost(n, c.opt.MemBW)
 			r.complete()
 		} else {
-			// Copy into NewMadeleine's buffers; delivered on a later IRecv.
-			data := c.opt.Bufs.Get(len(en.Data))
-			copy(data, en.Data)
+			// Keep the payload in NewMadeleine's buffers; delivered on a
+			// later IRecv. The sender's bounce buffer already holds it: take
+			// it over when it comes from this core's store, copy it
+			// otherwise. Either way the copy into the store is charged.
+			data := en.Data
+			if pw.core.opt.Bufs == c.opt.Bufs {
+				en.Data = nil
+			} else {
+				data = c.opt.Bufs.Get(len(en.Data))
+				copy(data, en.Data)
+			}
 			c.addUnexpected(unexp{from: g, kind: EntryEager, tag: en.Tag, msgLen: en.MsgLen, data: data})
 			cost += copyCost(len(data), c.opt.MemBW)
 		}
@@ -756,7 +791,9 @@ func (c *Core) handleEntry(fromRank int, en Entry) vtime.Duration {
 		if r == nil {
 			panic(fmt.Sprintf("nmad[%d]: data for unknown recv %d", c.rank, en.RecvID))
 		}
-		copy(r.buf[en.Offset:], en.Data)
+		if !en.landed {
+			copy(r.buf[en.Offset:], en.Data)
+		}
 		r.remaining -= len(en.Data)
 		if r.remaining <= 0 {
 			delete(c.recvRdv, en.RecvID)

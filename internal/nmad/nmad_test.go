@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bufpool"
 	"repro/internal/marcel"
 	"repro/internal/pioman"
 	"repro/internal/simnet"
@@ -48,6 +49,7 @@ func newEnv(t *testing.T, n int, strat StrategyKind, railParams ...simnet.RailPa
 		t.Fatal(err)
 	}
 	ev := &env{e: e, net: net}
+	bufs := new(bufpool.Pool) // one store per world, as mpi.Run shares it
 	for i := 0; i < n; i++ {
 		node := marcel.NewNode(e, fmt.Sprintf("n%d", i), 8)
 		mgr := pioman.New(e, node, fmt.Sprintf("p%d", i), pioman.Config{})
@@ -58,6 +60,7 @@ func newEnv(t *testing.T, n int, strat StrategyKind, railParams ...simnet.RailPa
 				mgr.PostTask(pioman.Task{Cost: cost, Run: run})
 			},
 			Notify: mgr.Notify,
+			Bufs:   bufs,
 		})
 		mgr.Register(core, pioman.ClassNet)
 		ev.cores = append(ev.cores, core)

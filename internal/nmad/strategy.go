@@ -81,13 +81,17 @@ func newStrategy(k StrategyKind) Strategy {
 }
 
 // add appends send pack r to the wrapper as its wire entry: an RTS for a
-// rendezvous pack, or the eager data — whose pack then finishes when the
-// wrapper has drained.
+// rendezvous pack, or the eager data — copied into a buffer from the world's
+// store (the bounce copy of §2.1.3, which submission already charges), so the
+// pack finishes when the wrapper has drained and its sender may reuse its
+// memory from then on, however late the receiver parses the wrapper.
 func (pw *Packet) add(r *Request) {
-	en := Entry{Kind: EntryEager, Tag: r.tag, Seq: r.seq, MsgLen: len(r.data), Data: r.data}
+	en := Entry{Kind: EntryEager, Tag: r.tag, Seq: r.seq, MsgLen: len(r.data)}
 	if r.rdv {
-		en.Kind, en.Data, en.PackID = EntryRTS, nil, r.id
+		en.Kind, en.PackID = EntryRTS, r.id
 	} else {
+		en.Data = pw.core.opt.Bufs.Get(len(r.data))
+		copy(en.Data, r.data)
 		pw.sends = append(pw.sends, r)
 	}
 	pw.Entries = append(pw.Entries, en)

@@ -55,8 +55,11 @@ const (
 // Entry is one logical unit inside a packet wrapper.
 type Entry struct {
 	Kind EntryKind
-	Seq  uint32
-	Tag  uint64
+	// landed marks a rendezvous data chunk already copied into the
+	// receiver's buffer at its send's NIC drain (Packet.land).
+	landed bool
+	Seq    uint32
+	Tag    uint64
 	// MsgLen is the total message length (RTS announces it; eager carries
 	// len(Data) == MsgLen).
 	MsgLen int
@@ -98,6 +101,9 @@ type Packet struct {
 	// refs counts the pending events still holding the wrapper: the delivery
 	// (released by the receiver's Poll) and, when scheduled, the NIC drain.
 	refs int
+	// parsed marks a wrapper the receiver's Poll has handled: from then on
+	// its payload has been copied out, and a drain lands nothing.
+	parsed bool
 
 	transmitFn, drainFn func()
 }

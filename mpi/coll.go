@@ -107,11 +107,6 @@ func (c *Comm) SendRecvRailT(dst int, sdata []byte, src int, rbuf []byte, tag in
 	return c.finishExchangeT(sr, rr)
 }
 
-// SendCopies implements coll.ValueSender: shared memory has copied a payload
-// into cells by the time its send completes; the network transports read
-// the sender's memory when the packet arrives.
-func (c *Comm) SendCopies(peer int) bool { return c.p.VCOf(c.world(peer)).SameNode }
-
 // twoLevelApplies reports whether the topology-aware hierarchical variants
 // apply to a communicator with the given node map: requested by config,
 // placement known, and at least one node hosting several of the
@@ -382,9 +377,6 @@ func (t nbcTransport) Isend(proc *vtime.Proc, dst int, tag int32, data []byte, r
 func (t nbcTransport) Irecv(proc *vtime.Proc, src int, tag int32, buf []byte) nbc.Req {
 	return t.c.p.IrecvPooled(proc, t.c.world(src), tag, t.c.nbcCtx, buf)
 }
-
-// SendCopies implements coll.ValueSender as Comm does.
-func (t nbcTransport) SendCopies(peer int) bool { return t.c.SendCopies(peer) }
 
 func (c *Comm) nbcStart(op coll.OpKind, a coll.Args) *Request {
 	s, release := c.sched(op, a)
