@@ -302,6 +302,18 @@ func TestZeroByteShm(t *testing.T) {
 	}
 }
 
+// waitAll blocks until every request completes, in one progress-regime wait.
+func waitAll(p *vtime.Proc, pr *Process, rs []*Request) {
+	pr.Mgr.WaitUntil(p, func() bool {
+		for _, r := range rs {
+			if !r.Done() {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 func TestWaitAll(t *testing.T) {
 	e, ps := node2(t, nemesis.Options{}, Config{})
 	bufs := make([][]byte, 4)
@@ -311,7 +323,7 @@ func TestWaitAll(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				rs = append(rs, ps[0].Isend(p, 1, int32(i), 0, []byte{byte(i)}))
 			}
-			ps[0].WaitAll(p, rs)
+			waitAll(p, ps[0], rs)
 		},
 		func(p *vtime.Proc) {
 			var rs []*Request
@@ -319,7 +331,7 @@ func TestWaitAll(t *testing.T) {
 				bufs[i] = make([]byte, 1)
 				rs = append(rs, ps[1].Irecv(p, 0, int32(i), 0, bufs[i]))
 			}
-			ps[1].WaitAll(p, rs)
+			waitAll(p, ps[1], rs)
 		})
 	for i := 0; i < 4; i++ {
 		if bufs[i][0] != byte(i) {
@@ -426,4 +438,49 @@ func TestSendSWChargedToCaller(t *testing.T) {
 			}
 			ps[1].Wait(p, r)
 		})
+}
+
+// TestReleaseInFlight: Release has MPI_Request_free's meaning. A send
+// released while still in flight completes as usual — its callback runs and
+// the receiver gets every byte — and goes back to the free list when it
+// completes; a completed receive goes back at once. With NoPooling neither
+// is recycled.
+func TestReleaseInFlight(t *testing.T) {
+	for _, noPooling := range []bool{false, true} {
+		e, ps := node2(t, nemesis.Options{}, Config{NoPooling: noPooling})
+		msg := bytes.Repeat([]byte{7}, 100<<10) // above EagerShmMax: rendezvous
+		buf := make([]byte, len(msg))
+		want := 1
+		if noPooling {
+			want = 0
+		}
+		fired := false
+		spawn2(t, e,
+			func(p *vtime.Proc) {
+				r := ps[0].Isend(p, 1, 1, 0, msg)
+				if r.Done() {
+					t.Fatal("rendezvous send done before its receive is posted")
+				}
+				r.AddCallback(func() { fired = true })
+				free := ps[0].reqFree.Len()
+				ps[0].Release(r)
+				ps[0].Mgr.WaitUntil(p, func() bool { return fired })
+				if got := ps[0].reqFree.Len() - free; got != want {
+					t.Errorf("nopooling=%v: send released in flight: %d requests recycled at completion, want %d", noPooling, got, want)
+				}
+			},
+			func(p *vtime.Proc) {
+				p.Sleep(10 * vtime.Microsecond)
+				r := ps[1].Irecv(p, 0, 1, 0, buf)
+				ps[1].Wait(p, r)
+				free := ps[1].reqFree.Len()
+				ps[1].Release(r)
+				if got := ps[1].reqFree.Len() - free; got != want {
+					t.Errorf("nopooling=%v: completed receive released: %d requests recycled, want %d", noPooling, got, want)
+				}
+			})
+		if !bytes.Equal(buf, msg) {
+			t.Errorf("nopooling=%v: payload corrupted", noPooling)
+		}
+	}
 }

@@ -147,9 +147,9 @@ type Process struct {
 	rdvOut     map[uint64]*Request
 	nextCookie uint64
 
-	// Free lists (see getReq/putReq): recycled requests — transient ones and
-	// those their owner released — and shm jobs, so the blocking
-	// point-to-point and nonblocking-collective hot paths stop allocating.
+	// Free lists (see getReq/putReq): recycled requests — those their owner
+	// released — and shm jobs, so the point-to-point and
+	// nonblocking-collective hot paths stop allocating.
 	reqFree bufpool.List[Request]
 	jobFree bufpool.List[shmJob]
 	uqFree  bufpool.Records[uqEntry]
@@ -266,9 +266,6 @@ func (p *Process) peer(rank int) *peerState {
 	return ps
 }
 
-// VCOf returns the virtual connection to rank.
-func (p *Process) VCOf(rank int) *VC { return &p.peer(rank).vc }
-
 // Engine returns the simulation engine.
 func (p *Process) Engine() *vtime.Engine { return p.e }
 
@@ -286,21 +283,19 @@ func (p *Process) ShmMemBW() float64 {
 // ---- request/job free lists ----------------------------------------------
 
 // getReq pops a recycled request from the free list (or allocates on a
-// miss). A transient request returns to the pool by itself once its single
-// completion callback has run; any other belongs to the caller until
-// Release.
-func (p *Process) getReq(kind reqKind, transient bool) *Request {
+// miss). It belongs to the caller until Release.
+func (p *Process) getReq(kind reqKind) *Request {
 	if p.cfg.NoPooling {
 		return &Request{p: p, kind: kind}
 	}
 	if r := p.reqFree.Get(); r != nil {
-		r.p, r.kind, r.transient = p, kind, transient
+		r.p, r.kind = p, kind
 		p.reqPoolHits.Inc()
 		return r
 	}
 	p.reqPoolMisses.Inc()
 	p.reqFree.Made()
-	return &Request{p: p, kind: kind, transient: transient}
+	return &Request{p: p, kind: kind}
 }
 
 // putReq recycles a completed request, keeping its callback slice's
@@ -310,17 +305,25 @@ func (p *Process) putReq(r *Request) {
 	p.reqFree.Put(r)
 }
 
-// Release hands a completed request obtained from Isend/Irecv (any
-// non-transient form) back to the free list, once its status has been read;
-// the caller must not touch it afterwards. Releasing is optional — an
-// unreleased request is simply collected.
+// Release gives a request obtained from Isend/Irecv back, with
+// MPI_Request_free's meaning: a completed request returns to the free list
+// at once; one still in flight completes as usual — its callbacks run — and
+// returns to the free list in Complete. Either way the caller must not touch
+// it afterwards, so it reads a receive's status first and registers every
+// callback before. Releasing is optional — an unreleased request is simply
+// collected.
 func (p *Process) Release(r *Request) {
-	if !r.done || r.transient {
-		panic("ch3: Release of an in-flight or transient request")
+	if p.cfg.NoPooling {
+		return
 	}
-	if !p.cfg.NoPooling {
-		p.putReq(r)
+	if r.released || r.p == nil { // r.p is nil once recycled
+		panic("ch3: double Release")
 	}
+	if !r.done {
+		r.released = true
+		return
+	}
+	p.putReq(r)
 }
 
 // getJob pops a recycled shm job (or allocates on a miss).
@@ -368,33 +371,16 @@ func (p *Process) nextQSeq() uint64 {
 // charged the software overhead; same-node traffic goes through the Nemesis
 // cell queues, remote traffic through the VC send override or backend.
 func (p *Process) Isend(proc *vtime.Proc, dst int, tag, ctx int32, data []byte) *Request {
-	return p.isend(proc, dst, tag, ctx, data, 0, false)
+	return p.IsendRail(proc, dst, tag, ctx, data, 0)
 }
 
 // IsendRail is Isend with a multirail placement hint: 0 lets the backend's
 // strategy place the transfer, k > 0 pins it to rail k-1 (see Request.Rail).
 func (p *Process) IsendRail(proc *vtime.Proc, dst int, tag, ctx int32, data []byte, rail int) *Request {
-	return p.isend(proc, dst, tag, ctx, data, rail, false)
-}
-
-// IsendPooled is Isend returning a transient request: the caller must
-// register exactly one completion callback and never touch the request
-// after that callback has run (the nonblocking-collective engine's
-// contract). With Config.NoPooling it degrades to a plain Isend.
-func (p *Process) IsendPooled(proc *vtime.Proc, dst int, tag, ctx int32, data []byte) *Request {
-	return p.isend(proc, dst, tag, ctx, data, 0, !p.cfg.NoPooling)
-}
-
-// IsendRailPooled is IsendPooled carrying a multirail placement hint.
-func (p *Process) IsendRailPooled(proc *vtime.Proc, dst int, tag, ctx int32, data []byte, rail int) *Request {
-	return p.isend(proc, dst, tag, ctx, data, rail, !p.cfg.NoPooling)
-}
-
-func (p *Process) isend(proc *vtime.Proc, dst int, tag, ctx int32, data []byte, rail int, transient bool) *Request {
 	if p.cfg.SendSW > 0 {
 		proc.Sleep(p.cfg.SendSW)
 	}
-	r := p.getReq(sendReq, transient)
+	r := p.getReq(sendReq)
 	r.dst, r.tag, r.ctx, r.data, r.Rail = int32(dst), tag, ctx, data, rail
 	if dst == p.Rank {
 		panic("ch3: self-send must be handled by the MPI layer")
@@ -453,20 +439,10 @@ func (p *Process) isendShm(proc *vtime.Proc, r *Request) {
 // AnyTag. The unexpected queue is consulted first; otherwise the request is
 // enqueued on the posted receive queue and/or handed to the backend.
 func (p *Process) Irecv(proc *vtime.Proc, src int, tag, ctx int32, buf []byte) *Request {
-	return p.irecv(proc, src, tag, ctx, buf, false)
-}
-
-// IrecvPooled is Irecv returning a transient request, under the same
-// single-callback contract as IsendPooled.
-func (p *Process) IrecvPooled(proc *vtime.Proc, src int, tag, ctx int32, buf []byte) *Request {
-	return p.irecv(proc, src, tag, ctx, buf, !p.cfg.NoPooling)
-}
-
-func (p *Process) irecv(proc *vtime.Proc, src int, tag, ctx int32, buf []byte, transient bool) *Request {
 	if p.cfg.RecvSW > 0 {
 		proc.Sleep(p.cfg.RecvSW)
 	}
-	r := p.getReq(recvReq, transient)
+	r := p.getReq(recvReq)
 	r.src, r.tag, r.ctx, r.buf = int32(src), tag, ctx, buf
 	p.track(r)
 
@@ -546,18 +522,6 @@ func (p *Process) UnexpectedQLen() int { return p.uq.n }
 // Wait blocks until r completes, driving progress per the configured regime.
 func (p *Process) Wait(proc *vtime.Proc, r *Request) {
 	p.Mgr.WaitUntil(proc, r.DoneFunc())
-}
-
-// WaitAll blocks until every request completes.
-func (p *Process) WaitAll(proc *vtime.Proc, rs []*Request) {
-	p.Mgr.WaitUntil(proc, func() bool {
-		for _, r := range rs {
-			if r != nil && !r.Done() {
-				return false
-			}
-		}
-		return true
-	})
 }
 
 // RegisterRdvOut assigns a rendezvous cookie to a send request and tracks

@@ -37,18 +37,18 @@ const (
 // Request is a CH3/ADI3 communication request. Each MPI operation is managed
 // through one; receive requests are queued on the posted receive queue. The
 // pairing with a NewMadeleine request when the direct module is in use
-// (§3.1.1) is held on that side, in nmad.Request.User.
+// (§3.1.1) is held on that side, in nmad.Request.User. A request belongs to
+// the caller of Isend/Irecv until it hands it back with Process.Release,
+// which has MPI_Request_free's meaning; requests are then recycled.
 type Request struct {
 	p    *Process
 	kind reqKind
 	done bool
 
-	// transient marks a self-recycling request (IsendPooled/IrecvPooled):
-	// the caller holds it only until its single completion callback has run,
-	// after which the request returns to the process free list. Exactly one
-	// callback must ever be registered on a transient request. Any other
-	// request is the caller's until it hands it back with Process.Release.
-	transient bool
+	// released marks a request its owner handed back with Process.Release
+	// while it was still in flight: Complete recycles it once its callbacks
+	// have run.
+	released bool
 	// tracked mirrors the request on the in-flight gauge; cleared (and the
 	// gauge decremented) at completion.
 	tracked bool
@@ -113,28 +113,20 @@ func (r *Request) Dest() int { return int(r.dst) }
 func (r *Request) MatchTriple() (ctx, src, tag int32) { return r.ctx, r.src, r.tag }
 
 // AddCallback registers f to run when the request completes. If the request
-// is already complete, f runs immediately — and, for a transient request,
-// that immediate run is the single permitted callback, so the request
-// returns to the pool afterwards (the sync-completion half of the free
-// rule; see Complete for the async half).
+// is already complete, f runs immediately. Callbacks must be registered
+// before the request is released.
 func (r *Request) AddCallback(f func()) {
 	if r.done {
 		f()
-		if r.transient {
-			r.p.putReq(r)
-		}
 		return
 	}
 	r.onComplete = append(r.onComplete, f)
 }
 
 // Complete marks the request done and fires callbacks. Exposed for backends.
-//
-// Transient free rule: a pooled request is recycled exactly once — here,
-// after its callbacks ran, if any were registered; otherwise in
-// AddCallback's immediate-run branch (the request completed synchronously
-// inside Isend/Irecv, before its single callback was registered). No
-// backend touches a request after Complete, so recycling here is safe.
+// A request its owner already released (see Process.Release) goes back to
+// the free list once its callbacks have run; no backend touches a request
+// after Complete, so recycling here is safe.
 func (r *Request) Complete() {
 	if r.done {
 		panic("ch3: double completion")
@@ -144,13 +136,12 @@ func (r *Request) Complete() {
 		r.tracked = false
 		r.p.inFlight.Dec()
 	}
-	ran := len(r.onComplete) > 0
 	for i, f := range r.onComplete {
 		r.onComplete[i] = nil
 		f()
 	}
 	r.onComplete = r.onComplete[:0]
-	if r.transient && ran {
+	if r.released {
 		r.p.putReq(r)
 	}
 }

@@ -46,7 +46,7 @@ func TestUnexpectedStoreLifecycle(t *testing.T) {
 				for tag, n := range sizes {
 					rs = append(rs, ps[0].Isend(p, 1, int32(tag), 0, payload(round, tag, n)))
 				}
-				ps[0].WaitAll(p, rs)
+				waitAll(p, ps[0], rs)
 				ps[0].Wait(p, ps[0].Irecv(p, 1, 1000, 0, nil)) // receiver drained
 			}
 		},

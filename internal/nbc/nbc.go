@@ -45,10 +45,19 @@ type Transport interface {
 	Irecv(proc *vtime.Proc, src int, tag int32, buf []byte) Req
 }
 
+// Releaser is implemented by a Transport whose requests go back to a free
+// list. The engine hands each request to Release right after registering
+// its completion callback and never touches it again; the transport
+// recycles it once that callback has run (at once, if it already has).
+type Releaser interface {
+	Release(r Req)
+}
+
 // Engine executes schedules for one rank, progressed by a pioman.Manager.
 type Engine struct {
 	mgr *pioman.Manager
 	tr  Transport
+	rel Releaser // tr's Releaser, resolved once in NewEngine; nil if none
 	rec *trace.Recorder
 
 	nextSeq int32
@@ -74,9 +83,11 @@ type Engine struct {
 	opMisses  *trace.Counter // op pool misses
 }
 
-// NewEngine binds a schedule engine to a progress manager and transport.
+// NewEngine binds a schedule engine to a progress manager and transport. A
+// transport that also implements Releaser gets every request back.
 func NewEngine(mgr *pioman.Manager, tr Transport) *Engine {
 	e := &Engine{mgr: mgr, tr: tr, pooling: true}
+	e.rel, _ = tr.(Releaser)
 	e.Instrument(nil, nil)
 	return e
 }
@@ -243,6 +254,9 @@ func (op *Op) issueRounds(proc *vtime.Proc) {
 				r = op.eng.tr.Irecv(proc, pr.Peer, tag, coll.RecvBuf(pr))
 			}
 			r.AddCallback(op.cb)
+			if op.eng.rel != nil {
+				op.eng.rel.Release(r)
+			}
 		}
 		op.pending--
 		if op.pending > 0 {

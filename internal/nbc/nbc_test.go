@@ -379,3 +379,69 @@ func TestEngineVectorSchedules(t *testing.T) {
 		}
 	}
 }
+
+// releasingSide is a fakeSide whose transport is a Releaser: it counts each
+// request's releases and checks that the engine registered its callback
+// first.
+type releasingSide struct {
+	*fakeSide
+	t        *testing.T
+	issued   int
+	released map[*fakeReq]int
+}
+
+func (s *releasingSide) Isend(proc *vtime.Proc, dst int, tag int32, data []byte, rail int) Req {
+	s.issued++
+	return s.fakeSide.Isend(proc, dst, tag, data, rail)
+}
+
+func (s *releasingSide) Irecv(proc *vtime.Proc, src int, tag int32, buf []byte) Req {
+	s.issued++
+	return s.fakeSide.Irecv(proc, src, tag, buf)
+}
+
+func (s *releasingSide) Release(r Req) {
+	fr := r.(*fakeReq)
+	if !fr.done && len(fr.cbs) == 0 {
+		s.t.Error("request released before its completion callback was registered")
+	}
+	s.released[fr]++
+}
+
+// TestEngineReleasesTransfers: an engine whose transport is a Releaser
+// hands back every transfer's request exactly once, after registering its
+// callback.
+func TestEngineReleasesTransfers(t *testing.T) {
+	const n = 4
+	for _, pio := range []bool{false, true} {
+		e := vtime.NewEngine()
+		net := newFakeNet(e, n, 500*vtime.Nanosecond, pio)
+		sides := make([]*releasingSide, n)
+		for r, side := range net.sides {
+			sides[r] = &releasingSide{fakeSide: side, t: t, released: map[*fakeReq]int{}}
+			side.eng = NewEngine(side.mgr, sides[r])
+		}
+		for r := 0; r < n; r++ {
+			r := r
+			e.Spawn(fmt.Sprintf("app%d", r), func(p *vtime.Proc) {
+				side := net.sides[r]
+				op := side.eng.Start(p, coll.BuildBarrier(r, n))
+				side.mgr.WaitUntil(p, op.Done)
+				side.mgr.Stop()
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for r, s := range sides {
+			if s.issued == 0 || len(s.released) != s.issued {
+				t.Errorf("pioman=%v rank %d: %d requests released of %d issued", pio, r, len(s.released), s.issued)
+			}
+			for _, k := range s.released {
+				if k != 1 {
+					t.Errorf("pioman=%v rank %d: a request released %d times", pio, r, k)
+				}
+			}
+		}
+	}
+}

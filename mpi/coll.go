@@ -362,21 +362,20 @@ func (c *Comm) IreduceScatterF64(x, recv []float64, counts []int, op coll.Op) *R
 // in flight compiles a throwaway schedule.
 
 // nbcTransport adapts the CH3 layer to the nbc engine on the nbc context.
-// The engine registers exactly one completion callback per transfer and
-// never touches the request afterwards, so the pooled (transient-request)
-// entry points apply.
+// It is an nbc.Releaser: the engine releases each transfer's CH3 request
+// right after registering its one completion callback, so the request goes
+// back to the CH3 free list once that callback has run.
 type nbcTransport struct{ c *Comm }
 
 func (t nbcTransport) Isend(proc *vtime.Proc, dst int, tag int32, data []byte, rail int) nbc.Req {
-	if rail != 0 {
-		return t.c.p.IsendRailPooled(proc, t.c.world(dst), tag, t.c.nbcCtx, data, rail)
-	}
-	return t.c.p.IsendPooled(proc, t.c.world(dst), tag, t.c.nbcCtx, data)
+	return t.c.p.IsendRail(proc, t.c.world(dst), tag, t.c.nbcCtx, data, rail)
 }
 
 func (t nbcTransport) Irecv(proc *vtime.Proc, src int, tag int32, buf []byte) nbc.Req {
-	return t.c.p.IrecvPooled(proc, t.c.world(src), tag, t.c.nbcCtx, buf)
+	return t.c.p.Irecv(proc, t.c.world(src), tag, t.c.nbcCtx, buf)
 }
+
+func (t nbcTransport) Release(r nbc.Req) { t.c.p.Release(r.(*ch3.Request)) }
 
 func (c *Comm) nbcStart(op coll.OpKind, a coll.Args) *Request {
 	s, release := c.sched(op, a)

@@ -24,35 +24,53 @@ func fromCH3(s ch3.Status) Status {
 	return Status{Source: int(s.Source), Tag: int(s.Tag), Len: s.Len, Truncated: s.Truncated}
 }
 
-// Request is an in-flight nonblocking operation (point-to-point or
-// collective).
+// Request is a nonblocking operation (point-to-point or collective). The
+// call that completes it — Wait, WaitAll, WaitAny, or a Test that returns
+// true — keeps its status here and gives the CH3 request behind it back to
+// the CH3 free list, as MPI_Wait frees an MPI request. The handle itself is
+// never reused: a later Wait, Test or Done reads the kept status, as a wait
+// on MPI_REQUEST_NULL does.
 type Request struct {
 	c  *Comm
-	r  *ch3.Request // nil for self-sends/recvs and collectives
+	r  *ch3.Request // the transfer until finished; nil for self-ops and collectives
 	op *nbc.Op      // nonblocking collective, nil otherwise
-	st *Status      // self-op status (set on completion)
-	ok *bool        // self-op completion flag
 
 	// opGen pins the collective op's acquisition generation: completed ops
 	// recycle inside the engine, so completion is read through DoneGen,
 	// which stays correct after the struct is reused for another start.
 	opGen uint64
 
-	// Self-receive matching state.
-	selfTag int32
-	selfCtx int32
-	selfBuf []byte
+	// st is the kept status (zero for sends and collectives), valid once fin
+	// is set: by the call that completed the request, or at a self-op's
+	// completion. Keep the struct at 80 B: a nonblocking-collective start
+	// allocates one (TestRequestFitsSizeClass).
+	st  Status
+	fin bool
 }
 
 // Done reports completion.
 func (q *Request) Done() bool {
-	if q.op != nil {
+	switch {
+	case q.fin:
+		return true
+	case q.op != nil:
 		return q.op.DoneGen(q.opGen)
-	}
-	if q.r != nil {
+	case q.r != nil:
 		return q.r.Done()
 	}
-	return *q.ok
+	return false
+}
+
+// finish is run by the call that completed q, after its wait returned (never
+// inside a wait predicate): it keeps the status and releases the CH3
+// request. Finishing again is a no-op.
+func (q *Request) finish() {
+	if q.r != nil {
+		q.st = q.c.recvStatus(q.r)
+		q.c.p.Release(q.r)
+		q.r = nil
+	}
+	q.fin = true
 }
 
 // Comm is one rank's communicator handle (MPI_COMM_WORLD by default; Dup
@@ -90,17 +108,25 @@ type Comm struct {
 	pairSend, pairRecv *ch3.Request
 	pairDone           func() bool
 
+	// allDone is WaitAll's predicate over waitQs from cursor waitI on, bound
+	// to this handle on first use; waitQs is cleared when WaitAll returns.
+	waitQs  []*Request
+	waitI   int
+	allDone func() bool
+
 	rec *trace.Recorder // event recorder (nil when tracing is off)
 	met *trace.Registry // this rank's counter registry (never nil under Run)
 
 	selfSends []selfMsg
-	selfRecvs []*Request
+	selfRecvs []selfMsg // pending self-receives; data is the receive buffer
 }
 
+// selfMsg is a buffered self-send, or a pending self-receive (q set).
 type selfMsg struct {
 	tag  int32
 	ctx  int32
 	data []byte
+	q    *Request
 }
 
 func newComm(cfg Config, proc *vtime.Proc, p *ch3.Process, node *marcel.Node,
@@ -171,6 +197,7 @@ func (c *Comm) Dup() *Comm {
 	d.nbcEng = nil
 	d.cache = nil
 	d.pairDone = nil
+	d.waitQs, d.allDone = nil, nil
 	d.selfSends = nil
 	d.selfRecvs = nil
 	return &d
@@ -280,7 +307,8 @@ func (c *Comm) Wait(q *Request) Status {
 	} else {
 		c.waitOn(q.Done)
 	}
-	return q.status()
+	q.finish()
+	return q.st
 }
 
 // waitOn is the body of every single-request wait: the "Wait" span around a
@@ -300,13 +328,22 @@ func (c *Comm) WaitAll(qs ...*Request) {
 	// instead of walking the whole window each wake — with thousands of
 	// outstanding requests and per-sweep wakeups the full rescan dominates
 	// host time.
-	i := 0
-	c.mgr.WaitUntil(c.proc, func() bool {
-		for i < len(qs) && (qs[i] == nil || qs[i].Done()) {
-			i++
+	if c.allDone == nil {
+		c.allDone = func() bool {
+			for c.waitI < len(c.waitQs) && (c.waitQs[c.waitI] == nil || c.waitQs[c.waitI].Done()) {
+				c.waitI++
+			}
+			return c.waitI == len(c.waitQs)
 		}
-		return i == len(qs)
-	})
+	}
+	c.waitQs, c.waitI = qs, 0
+	c.mgr.WaitUntil(c.proc, c.allDone)
+	c.waitQs = nil
+	for _, q := range qs {
+		if q != nil {
+			q.finish()
+		}
+	}
 }
 
 // WaitAny blocks until at least one request completes and returns its index
@@ -323,16 +360,22 @@ func (c *Comm) WaitAny(qs ...*Request) (int, Status) {
 		}
 		return false
 	})
-	return idx, qs[idx].status()
+	q := qs[idx]
+	q.finish()
+	return idx, q.st
 }
 
-// Test reports whether the request completed, after one progress pass.
+// Test reports whether the request completed, after one progress pass; if
+// it did, Test finishes it as Wait would.
 func (c *Comm) Test(q *Request) bool {
-	if q.Done() {
-		return true
+	if !q.Done() {
+		c.mgr.Progress(c.proc)
+		if !q.Done() {
+			return false
+		}
 	}
-	c.mgr.Progress(c.proc)
-	return q.Done()
+	q.finish()
+	return true
 }
 
 // Sendrecv performs a concurrent send and receive (both with tag).
@@ -342,7 +385,7 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 		rq := c.Irecv(src, rtag, rbuf)
 		sq := c.Isend(dst, stag, sdata)
 		c.WaitAll(sq, rq)
-		return rq.status()
+		return rq.st
 	}
 	rr, _ := c.irecv(src, rtag, rbuf)
 	sr, _ := c.isend(dst, stag, sdata)
@@ -353,16 +396,6 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 	c.p.Release(sr)
 	c.p.Release(rr)
 	return st
-}
-
-func (q *Request) status() Status {
-	if q.r != nil {
-		return q.c.recvStatus(q.r)
-	}
-	if q.st != nil {
-		return *q.st
-	}
-	return Status{}
 }
 
 // recvStatus translates a completed CH3 request's status into this
@@ -391,15 +424,14 @@ func (c *Comm) checkRank(r int, op string) {
 func (c *Comm) selfIsend(tag, ctx int32, data []byte) *Request {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	done := true
-	q := &Request{c: c, ok: &done}
+	q := &Request{c: c, fin: true}
 	// Try pending self receives first (FIFO).
-	for i, rq := range c.selfRecvs {
-		if rq.matchSelf(tag, ctx) {
+	for i, m := range c.selfRecvs {
+		if m.ctx == ctx && (m.tag == int32(AnyTag) || m.tag == tag) {
 			copy(c.selfRecvs[i:], c.selfRecvs[i+1:])
-			c.selfRecvs[len(c.selfRecvs)-1] = nil // drop the tail reference
+			c.selfRecvs[len(c.selfRecvs)-1] = selfMsg{} // drop the tail's references
 			c.selfRecvs = c.selfRecvs[:len(c.selfRecvs)-1]
-			rq.completeSelf(c.rank, tag, cp)
+			m.q.completeSelf(c.rank, tag, m.data, cp)
 			return q
 		}
 	}
@@ -407,29 +439,24 @@ func (c *Comm) selfIsend(tag, ctx int32, data []byte) *Request {
 	return q
 }
 
-func (q *Request) matchSelf(tag, ctx int32) bool {
-	return q.selfCtx == ctx && (q.selfTag == int32(AnyTag) || q.selfTag == tag)
-}
-
-func (q *Request) completeSelf(src int, tag int32, data []byte) {
-	n := copy(q.selfBuf, data)
-	*q.ok = true
-	*q.st = Status{Source: src, Tag: int(tag), Len: n, Truncated: n < len(data)}
+// completeSelf lands a self-message's data in buf and finishes q.
+func (q *Request) completeSelf(src int, tag int32, buf, data []byte) {
+	n := copy(buf, data)
+	q.st = Status{Source: src, Tag: int(tag), Len: n, Truncated: n < len(data)}
+	q.fin = true
 }
 
 func (c *Comm) selfIrecv(tag, ctx int32, buf []byte) *Request {
-	done := false
-	st := Status{}
-	q := &Request{c: c, ok: &done, st: &st, selfTag: tag, selfCtx: ctx, selfBuf: buf}
+	q := &Request{c: c}
 	for i, m := range c.selfSends {
 		if m.ctx == ctx && (tag == int32(AnyTag) || tag == m.tag) {
 			copy(c.selfSends[i:], c.selfSends[i+1:])
 			c.selfSends[len(c.selfSends)-1] = selfMsg{} // drop the tail's payload
 			c.selfSends = c.selfSends[:len(c.selfSends)-1]
-			q.completeSelf(c.rank, m.tag, m.data)
+			q.completeSelf(c.rank, m.tag, buf, m.data)
 			return q
 		}
 	}
-	c.selfRecvs = append(c.selfRecvs, q)
+	c.selfRecvs = append(c.selfRecvs, selfMsg{tag: tag, ctx: ctx, data: buf, q: q})
 	return q
 }

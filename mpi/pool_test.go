@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"repro/cluster"
+	"repro/internal/alloctest"
 	"repro/internal/coll"
 	"repro/internal/topo"
 )
@@ -391,20 +393,24 @@ func TestConcurrentNbcStress(t *testing.T) {
 }
 
 // TestFirstCachedBarrierZeroAlloc pins the first timed batch of a pingpong
-// at zero allocations, process-wide: after a warm-up echo batch and the
+// at zero allocations, on both ranks: after a warm-up echo batch and the
 // Barrier that compiles its schedule, the first cached Barriers and one
 // more echo batch allocate nothing, on the network path and on the
 // shared-memory path. The bracket is the one a time-boxed benchmark puts
-// round its first timed batch — rank 0 reads the counters between two
-// Barriers and after the next one — with the collector off and one P, so
-// a single malloc shows. testing.AllocsPerRun is no use here: its own
-// warm-up call would absorb exactly the allocations this test is after.
+// round its first timed batch — rank 0 opens it between two Barriers and
+// closes it after the next one — with the collector off and one P.
+// testing.AllocsPerRun is no use here: its own warm-up call would absorb
+// exactly the allocations this test is after.
 //
 // A second bracket then runs thousands of cached Barriers: an interface
 // assertion on the Barrier path allocates at random, about one call in a
 // thousand until the runtime has filled that site's type cache, which a
 // pingpong's few Barriers a batch leave to chance; this many calls show it
 // nineteen times in twenty.
+//
+// The brackets count the simulator's allocations only (alloctest): the Go
+// runtime's background scavenger allocates on its own goroutine now and
+// then, which a process-wide count would blame on the Barrier.
 func TestFirstCachedBarrierZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -418,7 +424,7 @@ func TestFirstCachedBarrierZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := xeonCfg(2, cluster.MPICH2NmadIB())
 			cfg.Placement = tc.placement
-			var before, after, last runtime.MemStats
+			var first, more alloctest.Result
 			_, err := Run(cfg, func(c *Comm) {
 				msg, buf := make([]byte, 1024), make([]byte, 1024)
 				batch := func() {
@@ -434,34 +440,112 @@ func TestFirstCachedBarrierZeroAlloc(t *testing.T) {
 				}
 				batch()
 				c.Barrier() // compiles the barrier's schedule
+				var b *alloctest.Bracket
 				if c.Rank() == 0 {
-					runtime.GC()
-					runtime.ReadMemStats(&before)
+					b = alloctest.Start()
 				}
 				c.Barrier() // the first cached one
 				batch()
 				c.Barrier()
 				if c.Rank() == 0 {
-					runtime.ReadMemStats(&after)
+					first = b.Stop()
+					b = alloctest.Start()
 				}
 				for i := 0; i < 3000; i++ {
 					c.Barrier()
 				}
 				if c.Rank() == 0 {
-					runtime.ReadMemStats(&last)
+					more = b.Stop()
 				}
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := after.Mallocs - before.Mallocs; n != 0 {
-				t.Fatalf("%s: the first cached Barriers and one echo batch allocate %d objects (%d B), want 0",
-					tc.name, n, after.TotalAlloc-before.TotalAlloc)
+			if first.Objects != 0 {
+				t.Errorf("%s: the first cached Barriers and one echo batch allocate %v\nwant 0", tc.name, first)
 			}
-			if n := last.Mallocs - after.Mallocs; n != 0 {
-				t.Fatalf("%s: 3000 more cached Barriers allocate %d objects (%d B), want 0",
-					tc.name, n, last.TotalAlloc-after.TotalAlloc)
+			if more.Objects != 0 {
+				t.Fatalf("%s: 3000 more cached Barriers allocate %v\nwant 0", tc.name, more)
 			}
 		})
+	}
+}
+
+// TestNonblockingP2PAllocBudget pins what a user's nonblocking
+// point-to-point message allocates at steady state, on both ranks, in the
+// multirail_stream shape: windows of 4 rendezvous Isends (rank 0) and
+// Irecvs (rank 1) over the two-rail stack, each closed by WaitAll and a
+// one-byte ack. The budget is exactly 2 objects a message, its two
+// *Request handles: the call that completes a request gives the CH3
+// request behind it back to the free list, where it keeps its bound Done
+// predicate, and WaitAll's predicate is bound once per communicator. One-byte messages open and close the bracket on rank
+// 1, so that it holds every window of both ranks and nothing else; an eager
+// message allocates nothing (TestEagerRoundTripAllocBudget).
+func TestNonblockingP2PAllocBudget(t *testing.T) {
+	const window, warm, windows = 4, 20, 50
+	sizes := []int{40 << 10, 256 << 10} // above the 32 KiB rendezvous threshold
+	cfg := xeonCfg(2, cluster.MPICH2NmadMulti())
+	cfg.Placement = topo.Placement{0, 1}
+	var got alloctest.Result
+	_, err := Run(cfg, func(c *Comm) {
+		bufs := make([][]byte, window)
+		for s := range bufs {
+			bufs[s] = make([]byte, sizes[1])
+		}
+		reqs := make([]*Request, window)
+		ack := make([]byte, 1)
+		run := func(w int) {
+			n := sizes[w%len(sizes)]
+			for s, b := range bufs {
+				if c.Rank() == 0 {
+					reqs[s] = c.Isend(1, s, b[:n])
+				} else {
+					reqs[s] = c.Irecv(0, s, b[:n])
+				}
+			}
+			c.WaitAll(reqs...)
+			if c.Rank() == 0 {
+				c.Recv(1, window, ack)
+			} else {
+				c.Send(0, window, ack)
+			}
+		}
+		for w := 0; w < warm; w++ {
+			run(w)
+		}
+		var b *alloctest.Bracket
+		if c.Rank() == 0 {
+			b = alloctest.Start()
+			c.Send(1, window+1, ack)
+		} else {
+			c.Recv(0, window+1, ack)
+		}
+		for w := 0; w < windows; w++ {
+			run(w)
+		}
+		// Rank 1 holds until the bracket is closed: what Run does after
+		// the body is not the messages'.
+		if c.Rank() == 0 {
+			got = b.Stop()
+			c.Send(1, window+1, ack)
+		} else {
+			c.Recv(0, window+1, ack)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(2 * window * windows); got.Objects != want {
+		t.Fatalf("%d nonblocking messages allocate %v\nwant %d (2 a message)", window*windows, got, want)
+	}
+}
+
+// TestRequestFitsSizeClass pins the Request handle at 80 B or less: every
+// nonblocking-collective start allocates one, and coll_storm's
+// alloc_kb_per_op rose past its bound when a kept status pushed it into the
+// 96 B class.
+func TestRequestFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n > 80 {
+		t.Fatalf("Request is %d B, want <= 80", n)
 	}
 }
