@@ -185,9 +185,9 @@ func loadTableArg(arg string) *coll.Table {
 }
 
 // diffTables prints every (op, size) of the sweep grid where the two
-// calibrations pick a different algorithm or segment size, resolving both
-// through the same Tuning.Select/SegFor path mpi uses (so builder
-// fallbacks at this -np are honoured), and returns the disagreement count.
+// calibrations decide differently — algorithm or segment size — resolving
+// both through the same Tuning.Decide mpi uses (so builder fallbacks at
+// this -np are honoured), and returns the disagreement count.
 func diffTables(w io.Writer, ta, tb *coll.Table, opts tune.Options) int {
 	tunA := &coll.Tuning{Table: ta, Stack: ta.Stack}
 	tunB := &coll.Tuning{Table: tb, Stack: tb.Stack}
@@ -203,18 +203,11 @@ func diffTables(w io.Writer, ta, tb *coll.Table, opts tune.Options) int {
 	if len(ops) == 0 {
 		ops = tune.DefaultOps()
 	}
-	pick := func(t *coll.Tuning, op coll.OpKind, sel int) (coll.Algo, int) {
-		a := t.Select(op, np, sel, false)
-		if coll.Segmented(a) {
-			return a, t.SegFor(op, np, sel)
+	label := func(d coll.Decision) string {
+		if d.Seg > 0 {
+			return fmt.Sprintf("%s(seg=%d)", d.Algo, d.Seg)
 		}
-		return a, 0
-	}
-	label := func(a coll.Algo, seg int) string {
-		if seg > 0 {
-			return fmt.Sprintf("%s(seg=%d)", a, seg)
-		}
-		return a.String()
+		return d.Algo.String()
 	}
 	fmt.Fprintf(w, "selection diff %s vs %s (np=%d, selector-space bytes)\n",
 		ta.Stack, tb.Stack, np)
@@ -223,14 +216,14 @@ func diffTables(w io.Writer, ta, tb *coll.Table, opts tune.Options) int {
 	for _, op := range ops {
 		for _, bytes := range sizes {
 			sel := tune.SelectorBytes(op, np, bytes)
-			aA, sA := pick(tunA, op, sel)
-			aB, sB := pick(tunB, op, sel)
-			if aA == aB && sA == sB {
+			dA := tunA.Decide(op, np, sel, false)
+			dB := tunB.Decide(op, np, sel, false)
+			if dA == dB {
 				continue
 			}
 			n++
 			fmt.Fprintf(w, "%-14s %-10s %-28s %-28s\n",
-				op, bench.SizeLabel(float64(sel)), label(aA, sA), label(aB, sB))
+				op, bench.SizeLabel(float64(sel)), label(dA), label(dB))
 		}
 	}
 	return n

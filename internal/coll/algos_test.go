@@ -271,14 +271,14 @@ func TestSelectTable(t *testing.T) {
 		{OpScatter, 8, 1024, false, AlgoLinear},
 	}
 	for _, c := range cases {
-		if got := tn.Select(c.op, c.size, c.bytes, c.twoLevel); got != c.want {
-			t.Errorf("Select(%s, np%d, %dB, twoLevel=%v) = %s, want %s",
+		if got := tn.Decide(c.op, c.size, c.bytes, c.twoLevel); got != (Decision{Algo: c.want}) {
+			t.Errorf("Decide(%s, np%d, %dB, twoLevel=%v) = %+v, want %s",
 				c.op, c.size, c.bytes, c.twoLevel, got, c.want)
 		}
 	}
 	forced := &Tuning{Force: map[OpKind]Algo{OpAllgather: AlgoRing}}
-	if got := forced.Select(OpAllgather, 8, 10, false); got != AlgoRing {
-		t.Errorf("forced Select = %s, want ring", got)
+	if got := forced.Decide(OpAllgather, 8, 10, false); got != (Decision{Algo: AlgoRing}) {
+		t.Errorf("forced Decide = %+v, want ring", got)
 	}
 }
 
@@ -331,7 +331,7 @@ func TestRebind(t *testing.T) {
 		scheds[r] = Build(Key{Op: OpBcast, Algo: AlgoScatterAllgather, Root: 0},
 			mkArgs(bufs1, r))
 	}
-	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 30) })
+	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 30, nil) })
 	for r := 0; r < n; r++ {
 		if bufs1[r][50] != byte(50)*3+1 {
 			t.Fatalf("first run: rank %d wrong", r)
@@ -342,7 +342,7 @@ func TestRebind(t *testing.T) {
 	for r := 0; r < n; r++ {
 		scheds[r].Rebind(mkArgs(bufs1, r).BufArgs(), mkArgs(bufs2, r).BufArgs())
 	}
-	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 31) })
+	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 31, nil) })
 	for r := 0; r < n; r++ {
 		for i := range bufs2[r] {
 			if bufs2[r][i] != byte(i)*3+2 {
@@ -373,14 +373,14 @@ func TestRebindAllreduce(t *testing.T) {
 	for r := 0; r < n; r++ {
 		scheds[r] = BuildAllreduceRabenseifner(r, n, v1[r], OpSum)
 	}
-	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 32) })
+	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 32, nil) })
 
 	for r := 0; r < n; r++ {
 		old := Args{Rank: r, Size: n, X: v1[r], Op: OpSum}.BufArgs()
 		new := Args{Rank: r, Size: n, X: v2[r], Op: OpMax}.BufArgs()
 		scheds[r].Rebind(old, new)
 	}
-	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 33) })
+	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 33, nil) })
 	for r := 0; r < n; r++ {
 		for i := range v2[r] {
 			if v2[r][i] != float64(n-1+i) { // max over ranks of (r+i)

@@ -17,30 +17,21 @@ import (
 )
 
 // PtPt is the point-to-point substrate collectives run over (implemented by
-// mpi.Comm).
+// mpi.Comm). Every send carries the rail placement hint the striped
+// builders stamp onto their send prims (encoding as on Prim.Rail: 0 auto,
+// k > 0 pins rail k-1, -w < 0 stripes over the first w rails). Substrates
+// without rail placement — shared-memory paths, the conformance harness's
+// in-memory peer, single-rail stacks — ignore it, so striped schedules
+// execute there identically to unstriped ones.
 type PtPt interface {
 	Rank() int
 	Size() int
 	// SendT / RecvT are blocking tagged transfers on the collective context.
-	SendT(dst int, tag int32, data []byte)
+	SendT(dst int, tag int32, data []byte, rail int)
 	RecvT(src int, tag int32, buf []byte) int
-	// SendRecvT runs a concurrent send+receive (deadlock-free exchange).
-	SendRecvT(dst int, sdata []byte, src int, rbuf []byte, tag int32) int
-}
-
-// RailPtPt is the optional multirail extension of PtPt: a substrate that can
-// pin a send to one rail of a multirail stack implements it, and the
-// executors then forward the rail hints the striped builders stamped onto
-// their send prims (rail encoding as on Prim.Rail: 0 auto, k > 0 pins rail
-// k-1). Substrates without rail placement — shared-memory fabrics, the
-// conformance harness's in-memory peer, single-rail stacks — simply don't
-// implement it and striped schedules execute identically to unstriped ones.
-type RailPtPt interface {
-	PtPt
-	// SendRailT is SendT with a rail placement hint.
-	SendRailT(dst int, tag int32, data []byte, rail int)
-	// SendRecvRailT is SendRecvT with a rail placement hint on the send half.
-	SendRecvRailT(dst int, sdata []byte, src int, rbuf []byte, tag int32, rail int) int
+	// SendRecvT runs a concurrent send+receive (deadlock-free exchange);
+	// rail is the send half's hint.
+	SendRecvT(dst int, sdata []byte, src int, rbuf []byte, tag int32, rail int) int
 }
 
 // Op is a reduction operator over float64 values applied elementwise.
@@ -77,45 +68,4 @@ func BytesF64(dst []float64, b []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-}
-
-// Barrier is a dissemination barrier: ceil(log2(n)) rounds of exchanges.
-func Barrier(p PtPt, tag int32) {
-	ExecBlocking(p, BuildBarrier(p.Rank(), p.Size()), tag)
-}
-
-// Bcast distributes data (in place) from root with a binomial tree.
-func Bcast(p PtPt, root int, data []byte, tag int32) {
-	ExecBlocking(p, BuildBcast(p.Rank(), p.Size(), root, data), tag)
-}
-
-// Reduce combines x from all ranks into root's x with a binomial tree over
-// relative ranks. The operator must be commutative.
-func Reduce(p PtPt, root int, x []float64, op Op, tag int32) {
-	ExecBlocking(p, BuildReduce(p.Rank(), p.Size(), root, x, op), tag)
-}
-
-// Allreduce combines x across all ranks in place: recursive doubling with
-// the standard pre/post phase for non-power-of-two sizes. The operator must
-// be commutative.
-func Allreduce(p PtPt, x []float64, op Op, tag int32) {
-	ExecBlocking(p, BuildAllreduce(p.Rank(), p.Size(), x, op), tag)
-}
-
-// Allgather collects each rank's block into out (out[r] holds rank r's
-// contribution; out[rank] is filled from mine) using a ring.
-func Allgather(p PtPt, mine []byte, out [][]byte, tag int32) {
-	ExecBlocking(p, BuildAllgather(p.Rank(), p.Size(), mine, out), tag)
-}
-
-// Alltoall exchanges send[r] → rank r, landing in recv[s] from rank s,
-// with a pairwise-exchange schedule (XOR pattern for power-of-two sizes,
-// rotated shifts otherwise).
-func Alltoall(p PtPt, send, recv [][]byte, tag int32) {
-	ExecBlocking(p, BuildAlltoall(p.Rank(), p.Size(), send, recv), tag)
-}
-
-// Gather collects each rank's block at root (out[r] is filled on root only).
-func Gather(p PtPt, root int, mine []byte, out [][]byte, tag int32) {
-	ExecBlocking(p, BuildGather(p.Rank(), p.Size(), root, mine, out), tag)
 }

@@ -41,7 +41,8 @@ type peer struct {
 func (p *peer) Rank() int { return p.rank }
 func (p *peer) Size() int { return p.f.n }
 
-func (p *peer) SendT(dst int, tag int32, data []byte) {
+// SendT ignores the rail hint: the fabric has one wire.
+func (p *peer) SendT(dst int, tag int32, data []byte, _ int) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	p.f.chanFor(p.rank, dst, tag) <- cp
@@ -52,10 +53,10 @@ func (p *peer) RecvT(src int, tag int32, buf []byte) int {
 	return copy(buf, m)
 }
 
-func (p *peer) SendRecvT(dst int, sdata []byte, src int, rbuf []byte, tag int32) int {
+func (p *peer) SendRecvT(dst int, sdata []byte, src int, rbuf []byte, tag int32, _ int) int {
 	done := make(chan int, 1)
 	go func() {
-		p.SendT(dst, tag, sdata)
+		p.SendT(dst, tag, sdata, 0)
 		done <- 0
 	}()
 	n := p.RecvT(src, tag, rbuf)
@@ -92,7 +93,7 @@ var testNPs = []int{1, 2, 3, 4, 5, 7, 8, 12, 16}
 
 func TestBarrierCompletes(t *testing.T) {
 	for _, n := range testNPs {
-		runAll(t, n, func(p *peer) { Barrier(p, 0) })
+		runAll(t, n, func(p *peer) { ExecBlocking(p, BuildBarrier(p.Rank(), p.Size()), 0, nil) })
 	}
 }
 
@@ -107,7 +108,7 @@ func TestBcastAllNP(t *testing.T) {
 						data[i] = byte(i + root)
 					}
 				}
-				Bcast(p, root, data, 1)
+				ExecBlocking(p, BuildBcast(p.Rank(), p.Size(), root, data), 1, nil)
 				for i := range data {
 					if data[i] != byte(i+root) {
 						panic(fmt.Sprintf("np=%d root=%d rank=%d: bad byte %d", n, root, p.Rank(), i))
@@ -123,7 +124,7 @@ func TestAllreduceSumAllNP(t *testing.T) {
 		n := n
 		runAll(t, n, func(p *peer) {
 			x := []float64{float64(p.Rank()), 1, float64(p.Rank() * p.Rank())}
-			Allreduce(p, x, OpSum, 2)
+			ExecBlocking(p, BuildAllreduce(p.Rank(), p.Size(), x, OpSum), 2, nil)
 			wantSq := 0.0
 			for r := 0; r < n; r++ {
 				wantSq += float64(r * r)
@@ -138,12 +139,12 @@ func TestAllreduceSumAllNP(t *testing.T) {
 func TestAllreduceMaxMin(t *testing.T) {
 	runAll(t, 7, func(p *peer) {
 		x := []float64{float64(p.Rank())}
-		Allreduce(p, x, OpMax, 2)
+		ExecBlocking(p, BuildAllreduce(p.Rank(), p.Size(), x, OpMax), 2, nil)
 		if x[0] != 6 {
 			panic(fmt.Sprintf("max = %v", x))
 		}
 		y := []float64{float64(p.Rank() + 3)}
-		Allreduce(p, y, OpMin, 3)
+		ExecBlocking(p, BuildAllreduce(p.Rank(), p.Size(), y, OpMin), 3, nil)
 		if y[0] != 3 {
 			panic(fmt.Sprintf("min = %v", y))
 		}
@@ -156,7 +157,7 @@ func TestReduceAllRootsAllNP(t *testing.T) {
 			n, root := n, root
 			runAll(t, n, func(p *peer) {
 				x := []float64{float64(p.Rank() + 1)}
-				Reduce(p, root, x, OpSum, 4)
+				ExecBlocking(p, BuildReduce(p.Rank(), p.Size(), root, x, OpSum), 4, nil)
 				if p.Rank() == root && x[0] != float64(n*(n+1))/2 {
 					panic(fmt.Sprintf("np=%d root=%d: %v", n, root, x))
 				}
@@ -174,7 +175,7 @@ func TestAllgatherAllNP(t *testing.T) {
 				out[i] = make([]byte, 3)
 			}
 			mine := []byte{byte(p.Rank()), 0xBE, 0xEF}
-			Allgather(p, mine, out, 5)
+			ExecBlocking(p, BuildAllgather(p.Rank(), p.Size(), mine, out), 5, nil)
 			for r := 0; r < n; r++ {
 				if out[r][0] != byte(r) || out[r][1] != 0xBE {
 					panic(fmt.Sprintf("np=%d rank=%d out[%d]=%v", n, p.Rank(), r, out[r]))
@@ -194,7 +195,7 @@ func TestAlltoallAllNP(t *testing.T) {
 				send[i] = []byte{byte(p.Rank()), byte(i)}
 				recv[i] = make([]byte, 2)
 			}
-			Alltoall(p, send, recv, 6)
+			ExecBlocking(p, BuildAlltoall(p.Rank(), p.Size(), send, recv), 6, nil)
 			for r := 0; r < n; r++ {
 				if recv[r][0] != byte(r) || recv[r][1] != byte(p.Rank()) {
 					panic(fmt.Sprintf("np=%d rank=%d recv[%d]=%v", n, p.Rank(), r, recv[r]))
@@ -212,7 +213,7 @@ func TestGatherAllNP(t *testing.T) {
 			for i := range out {
 				out[i] = make([]byte, 1)
 			}
-			Gather(p, 0, []byte{byte(p.Rank() * 2)}, out, 7)
+			ExecBlocking(p, BuildGather(p.Rank(), p.Size(), 0, []byte{byte(p.Rank() * 2)}, out), 7, nil)
 			if p.Rank() == 0 {
 				for r := 0; r < n; r++ {
 					if out[r][0] != byte(r*2) {
@@ -276,7 +277,7 @@ func TestPropertyAllreduceEqualsSerialSum(t *testing.T) {
 				defer wg.Done()
 				p := &peer{f: f2, rank: r}
 				x := []float64{vals[r]}
-				Allreduce(p, x, OpSum, 2)
+				ExecBlocking(p, BuildAllreduce(p.Rank(), p.Size(), x, OpSum), 2, nil)
 				if math.Abs(x[0]-want) > 1e-9 {
 					mu.Lock()
 					ok = false

@@ -87,11 +87,11 @@ func refBarrier(p *peer) {
 			p.RecvT(r, confTag, nil)
 		}
 		for r := 1; r < n; r++ {
-			p.SendT(r, confTag, nil)
+			p.SendT(r, confTag, nil, 0)
 		}
 		return
 	}
-	p.SendT(0, confTag, nil)
+	p.SendT(0, confTag, nil, 0)
 	p.RecvT(0, confTag, nil)
 }
 
@@ -99,7 +99,7 @@ func refBcast(p *peer, root int, data []byte) {
 	if p.rank == root {
 		for r := 0; r < p.Size(); r++ {
 			if r != root {
-				p.SendT(r, confTag, data)
+				p.SendT(r, confTag, data, 0)
 			}
 		}
 		return
@@ -109,7 +109,7 @@ func refBcast(p *peer, root int, data []byte) {
 
 func refReduce(p *peer, root int, x []float64, op Op) {
 	if p.rank != root {
-		p.SendT(root, confTag, F64Bytes(x))
+		p.SendT(root, confTag, F64Bytes(x), 0)
 		return
 	}
 	buf := make([]byte, 8*len(x))
@@ -143,7 +143,7 @@ func refAllgather(p *peer, mine []byte, out [][]byte) {
 	copy(out[p.rank], mine)
 	for r := 0; r < p.Size(); r++ {
 		if r != p.rank {
-			p.SendT(r, confTag, mine)
+			p.SendT(r, confTag, mine, 0)
 		}
 	}
 	for r := 0; r < p.Size(); r++ {
@@ -158,7 +158,7 @@ func refAlltoall(p *peer, send, recv [][]byte) {
 	copy(recv[p.rank], send[p.rank])
 	for d := 0; d < p.Size(); d++ {
 		if d != p.rank {
-			p.SendT(d, confTag, send[d])
+			p.SendT(d, confTag, send[d], 0)
 		}
 	}
 	for s := 0; s < p.Size(); s++ {
@@ -170,7 +170,7 @@ func refAlltoall(p *peer, send, recv [][]byte) {
 
 func refGather(p *peer, root int, mine []byte, out [][]byte) {
 	if p.rank != root {
-		p.SendT(root, confTag, mine)
+		p.SendT(root, confTag, mine, 0)
 		return
 	}
 	copy(out[root], mine)
@@ -189,7 +189,7 @@ func refScatter(p *peer, root int, blocks [][]byte, buf []byte) {
 	copy(buf, blocks[root])
 	for r := 0; r < p.Size(); r++ {
 		if r != root {
-			p.SendT(r, confTag, blocks[r])
+			p.SendT(r, confTag, blocks[r], 0)
 		}
 	}
 }
@@ -197,7 +197,7 @@ func refScatter(p *peer, root int, blocks [][]byte, buf []byte) {
 func refReduceScatter(p *peer, x, recv []float64, counts []int, op Op) {
 	win := prefixSums(counts)
 	if p.rank != 0 {
-		p.SendT(0, confTag, F64Bytes(x))
+		p.SendT(0, confTag, F64Bytes(x), 0)
 		buf := make([]byte, 8*counts[p.rank])
 		p.RecvT(0, confTag, buf)
 		BytesF64(recv, buf)
@@ -214,7 +214,7 @@ func refReduceScatter(p *peer, x, recv []float64, counts []int, op Op) {
 		}
 	}
 	for r := 1; r < p.Size(); r++ {
-		p.SendT(r, confTag, F64Bytes(acc[win[r]:win[r+1]]))
+		p.SendT(r, confTag, F64Bytes(acc[win[r]:win[r+1]]), 0)
 	}
 	copy(recv, acc[win[0]:win[1]])
 }
@@ -275,7 +275,7 @@ func cpf(x []float64) []float64 { return append([]float64(nil), x...) }
 
 // confStripe, when set, is injected into every Args confExec builds: the
 // striped conformance sweep re-runs the whole harness under a two-rail
-// striping. The fabric is not rail-aware, so execution drops the hints —
+// striping. The fabric ignores the rail hints —
 // equality then asserts striping changes which wires data would ride, never
 // what data moves.
 var confStripe Striping
@@ -295,7 +295,7 @@ func confExec(t *testing.T, label string, reg Registration, np int,
 		checkRoundShape(t, scheds[r], fmt.Sprintf("%s/r%d", label, r))
 	}
 	runConf(t, np, func(p *peer) rankOut {
-		ExecBlocking(p, scheds[p.rank], confTag)
+		ExecBlocking(p, scheds[p.rank], confTag, nil)
 		return rankOut{}
 	})
 	outs := make([]rankOut, np)

@@ -290,32 +290,34 @@ func init() {
 	Register(OpReduceScatter, AlgoPairwise, func(a Args) *Schedule {
 		return BuildReduceScatterPairwise(a.Rank, a.Size, a.X, a.RecvF64, a.RCounts, a.Op)
 	})
+
+	if err := defaultTable.Validate(); err != nil {
+		panic(err)
+	}
 }
 
 // Tuning parameterizes algorithm selection. The zero value (and a nil
-// pointer) selects the built-in MPICH-flavoured defaults. Overrides apply
-// in ONE precedence order, enforced by Select and asserted by test
-// (TestTableBeatsLongOverride):
+// pointer) selects the built-in MPICH-flavoured defaults (defaultTable).
+// Decide resolves one invocation's whole Decision — algorithm, pipeline
+// segment size, rail-stripe width — applying each precedence ladder once:
 //
-//		Force > topology (two-level) > Table > *Long overrides > defaults
+//	algorithm: Force > topology (two-level) > Table > defaultTable
+//	segment:   SegBytes > table entry seg > DefSegBytes
+//	stripe:    StripeWidth > table entry stripe > off
 //
 //	  - Force pins an operation to one algorithm unconditionally;
 //	  - topology: when the caller requests two-level and op has a
 //	    hierarchical builder, that structural decision outranks any size
-//	    threshold (a table cannot express placement);
+//	    threshold (a table cannot express placement), except below a
+//	    calibrated Table.TwoLevelMin;
 //	  - Table supplies calibrated per-operation size thresholds (loaded via
 //	    LoadTable from a colltune-emitted JSON file, or taken from the
-//	    embedded per-stack calibrations in internal/coll/tune) and replaces
-//	    the built-in size switch for the operations it covers — including
-//	    the *Long knobs, which a covering table makes dead;
-//	  - the *Long fields override individual default byte thresholds when
-//	    > 0 — the pre-table tuning knobs, honoured only for operations the
-//	    table does not cover.
+//	    embedded per-stack calibrations in internal/coll/tune); where it has
+//	    no entry, the built-in defaultTable applies.
 //
 // SegBytes forces the pipeline segment size of the segmented algorithms
-// (chain / segmented-binomial / segmented-ring) in bytes; 0 defers to the
-// table entry's seg field and then DefSegBytes. Stack names the MPI stack
-// selection runs under (cluster.Stack.Name); mpi.Run fills it in
+// (chain / segmented-binomial / segmented-ring) in bytes. Stack names the
+// MPI stack selection runs under (cluster.Stack.Name); mpi.Run fills it in
 // automatically so the stack identity flows into every coll.Key. Tables
 // and forced algorithms are validated by Validate — mpi.Run rejects
 // malformed tuning instead of silently falling back.
@@ -326,76 +328,160 @@ type Tuning struct {
 	SegBytes int
 
 	// StripeWidth forces the rail-stripe width of the rail-striped
-	// algorithms (see Striped); 0 defers to the table entry's stripe field,
-	// and striping stays off when neither names one — unlike segment size
-	// there is no nonzero default, because dealing segments across rails
-	// only pays when calibration (or the caller) says the stack's rails
-	// add up. Rails describes the rails selection runs over; mpi.Run fills
-	// it from the stack configuration. Fewer than two rails disables
-	// striping regardless of any override: single-rail stacks must compile
-	// bit-identical schedules with or without this PR-era machinery.
+	// algorithms (see Striped). Striping stays off when neither it nor the
+	// table entry names a width — unlike segment size there is no nonzero
+	// default, because dealing segments across rails only pays when
+	// calibration (or the caller) says the stack's rails add up. Rails
+	// describes the rails selection runs over; mpi.Run fills it from the
+	// stack configuration. Fewer than two rails disables striping
+	// regardless of any override, and a width clamps to the rail count — a
+	// table calibrated on a wider stack cannot make the assigner deal to
+	// rails that don't exist.
 	StripeWidth int
 	Rails       []RailInfo
-
-	BcastLong     int
-	AllreduceLong int
-	AllgatherLong int
 }
 
-// Default size thresholds (payload bytes) at which the selector switches
-// from the latency-optimal to the bandwidth-optimal algorithm, and the
-// default pipeline segment size of the segmented algorithms.
-const (
-	DefBcastLong     = 12 << 10
-	DefAllreduceLong = 4 << 10
-	DefAllgatherLong = 32 << 10
-	DefSegBytes      = 8 << 10
-)
+// DefSegBytes is the default pipeline segment size of the segmented
+// algorithms.
+const DefSegBytes = 8 << 10
 
-// SegFor resolves the pipeline segment size a segmented algorithm runs
-// with for op on np ranks at bytes of payload: SegBytes forces it,
-// otherwise the calibrated table entry matching this rank count and payload
-// supplies it, otherwise DefSegBytes — the same precedence ladder Select
-// applies to the algorithm itself.
-func (t *Tuning) SegFor(op OpKind, np, bytes int) int {
-	if t != nil && t.SegBytes > 0 {
-		return t.SegBytes
-	}
-	if t != nil && t.Table != nil {
-		if e, ok := t.Table.LookupEntry(op, np, bytes); ok && e.Seg > 0 {
-			return e.Seg
-		}
-	}
-	return DefSegBytes
+// Decision is one invocation's selection: the algorithm, and the pipeline
+// segment size and rail-stripe width it runs with — 0 where the algorithm
+// does not segment, or does not stripe.
+type Decision struct {
+	Algo   Algo
+	Seg    int
+	Stripe int
 }
 
-// StripeFor resolves the rail-stripe width a rail-striped algorithm runs
-// with for op on np ranks at bytes of payload: fewer than two known rails
-// means 0 (no striping, unconditionally), otherwise StripeWidth forces it,
-// otherwise the calibrated table entry matching this rank count and payload
-// supplies it; with neither, striping stays off. Widths clamp to the rail
-// count — a table calibrated on a wider stack cannot make the assigner deal
-// to rails that don't exist. The precedence mirrors SegFor minus the
-// nonzero default (see Tuning.StripeWidth on why).
-func (t *Tuning) StripeFor(op OpKind, np, bytes int) int {
-	if t == nil || len(t.Rails) < 2 {
-		return 0
+// noTuning stands in for a nil *Tuning: the built-in defaults.
+var noTuning Tuning
+
+// Decide selects for op on np ranks moving bytes of selector-space payload;
+// twoLevel requests the hierarchical variant where one exists. It looks the
+// table entry at (op, np, bytes) up once and reads its seg and stripe even
+// when Force or topology picked the algorithm. The defaults are documented
+// in internal/coll/README.md.
+func (t *Tuning) Decide(op OpKind, np, bytes int, twoLevel bool) Decision {
+	return t.decide(op, np, bytes, twoLevel, true)
+}
+
+// Select is Decide's algorithm alone.
+func (t *Tuning) Select(op OpKind, np, bytes int, twoLevel bool) Algo {
+	return t.Decide(op, np, bytes, twoLevel).Algo
+}
+
+// decide is Decide; hier reports whether the two-level builders can run
+// (a node map is known) — without one, a forced two-level is ignored.
+func (t *Tuning) decide(op OpKind, np, bytes int, twoLevel, hier bool) Decision {
+	if t == nil {
+		t = &noTuning
 	}
-	w := 0
-	if t.StripeWidth > 0 {
-		w = t.StripeWidth
-	} else if t.Table != nil {
-		if e, ok := t.Table.LookupEntry(op, np, bytes); ok && e.Stripe > 0 {
-			w = e.Stripe
+	e, calibrated := t.Table.LookupEntry(op, np, bytes)
+	d := Decision{Algo: t.Force[op]}
+	if d.Algo == AlgoTwoLevel && !hier {
+		d.Algo = AlgoAuto
+	}
+	if d.Algo == AlgoAuto {
+		// A calibrated flat-vs-two-level crossover refines the topology
+		// request: when the table records that leader aggregation only pays
+		// off above some payload, smaller payloads take the flat selection
+		// even though the caller asked for two-level. Uncalibrated tables
+		// keep the structural default — two-level whenever requested.
+		if twoLevel && t.Table != nil {
+			if m, ok := t.Table.TwoLevelMin[op.String()]; ok && (m < 0 || bytes <= m) {
+				twoLevel = false
+			}
+		}
+		switch {
+		case twoLevel && hasTwoLevel(op):
+			d.Algo = AlgoTwoLevel
+		case calibrated:
+			d.Algo = builderFallback(op, e.Algo, np)
+		default:
+			d.Algo = builderFallback(op, defaultAlgo(op, np, bytes), np)
 		}
 	}
-	if w > len(t.Rails) {
-		w = len(t.Rails)
+	if Segmented(d.Algo) {
+		switch {
+		case t.SegBytes > 0:
+			d.Seg = t.SegBytes
+		case e.Seg > 0:
+			d.Seg = e.Seg
+		default:
+			d.Seg = DefSegBytes
+		}
 	}
-	if w < 2 {
-		return 0
+	if Striped(op, d.Algo) && len(t.Rails) >= 2 {
+		w := e.Stripe
+		if t.StripeWidth > 0 {
+			w = t.StripeWidth
+		}
+		if w = min(w, len(t.Rails)); w >= 2 {
+			d.Stripe = w
+		}
 	}
-	return w
+	return d
+}
+
+// defaultTable is the built-in selection for the operations whose default
+// switches on payload size or rank count — MPICH-flavoured thresholds in
+// the banded form of a calibrated table, checked by the same Validate at
+// init. The power-of-two-only picks (Rabenseifner, recursive halving) reach
+// other rank counts through builderFallback, as a calibrated table's do.
+var defaultTable = &Table{Bands: map[string][]NPBand{
+	"bcast": {
+		{MaxNP: 7, Entries: []TableEntry{{MaxBytes: -1, Algo: AlgoBinomial}}},
+		{MaxNP: -1, Entries: []TableEntry{
+			{MaxBytes: 12 << 10, Algo: AlgoBinomial},
+			{MaxBytes: -1, Algo: AlgoScatterAllgather},
+		}},
+	},
+	"allreduce": {
+		{MaxNP: 3, Entries: []TableEntry{{MaxBytes: -1, Algo: AlgoRecDoubling}}},
+		{MaxNP: -1, Entries: []TableEntry{
+			{MaxBytes: 4 << 10, Algo: AlgoRecDoubling},
+			{MaxBytes: -1, Algo: AlgoRabenseifner},
+		}},
+	},
+	"allgather": {{MaxNP: -1, Entries: []TableEntry{
+		{MaxBytes: 32 << 10, Algo: AlgoBruck},
+		{MaxBytes: -1, Algo: AlgoRing},
+	}}},
+	// The full recvcounts vector is known on every rank, so the total
+	// payload is a globally consistent selector input.
+	"allgatherv": {{MaxNP: -1, Entries: []TableEntry{
+		{MaxBytes: 32 << 10, Algo: AlgoBruck},
+		{MaxBytes: -1, Algo: AlgoRing},
+	}}},
+	"reduce-scatter": {{MaxNP: -1, Entries: []TableEntry{{MaxBytes: -1, Algo: AlgoRecHalving}}}},
+}}
+
+// fixedAlgo is the default of each operation defaultTable does not cover:
+// one flat algorithm at every size. Alltoallv's per-rank counts are
+// private, so its selection may only key on the globally known rank count:
+// XOR pairing for powers of two, rotated shifts (builderFallback) otherwise
+// — see vector.go on why size-based or Bruck-style choices are unavailable.
+var fixedAlgo = [numOps]Algo{
+	OpBarrier:   AlgoDissemination,
+	OpReduce:    AlgoBinomial,
+	OpAlltoall:  AlgoPairwise,
+	OpGather:    AlgoLinear,
+	OpScatter:   AlgoLinear,
+	OpAlltoallv: AlgoPairwise,
+	OpGatherv:   AlgoLinear,
+	OpScatterv:  AlgoLinear,
+}
+
+// defaultAlgo is the built-in flat pick for op, before builderFallback.
+func defaultAlgo(op OpKind, np, bytes int) Algo {
+	if e, ok := defaultTable.LookupEntry(op, np, bytes); ok {
+		return e.Algo
+	}
+	if op < numOps && fixedAlgo[op] != AlgoAuto {
+		return fixedAlgo[op]
+	}
+	panic(fmt.Sprintf("coll: select on unknown op %d", op))
 }
 
 // RailProfile canonicalizes the tuning's rail set for the cache key: rail
@@ -414,123 +500,6 @@ func (t *Tuning) RailProfile() string {
 		sb.WriteString(r.Name)
 	}
 	return sb.String()
-}
-
-func (t *Tuning) bcastLong() int {
-	if t != nil && t.BcastLong > 0 {
-		return t.BcastLong
-	}
-	return DefBcastLong
-}
-
-func (t *Tuning) allreduceLong() int {
-	if t != nil && t.AllreduceLong > 0 {
-		return t.AllreduceLong
-	}
-	return DefAllreduceLong
-}
-
-func (t *Tuning) allgatherLong() int {
-	if t != nil && t.AllgatherLong > 0 {
-		return t.AllgatherLong
-	}
-	return DefAllgatherLong
-}
-
-// Select picks the algorithm for op on size ranks moving bytes of payload;
-// twoLevel requests the hierarchical variant where one exists. The
-// precedence order is exactly the one Tuning documents — Force > topology
-// (two-level) > Table > *Long overrides > defaults. A table covering op
-// therefore makes the corresponding *Long knob dead: the size switch the
-// *Long fields parameterize is only reached when the table has no entry
-// for op (or no table is installed). The defaults are documented in
-// internal/coll/README.md.
-func (t *Tuning) Select(op OpKind, size, bytes int, twoLevel bool) Algo {
-	if t != nil && t.Force != nil {
-		if a, ok := t.Force[op]; ok && a != AlgoAuto {
-			return a
-		}
-	}
-	// A calibrated flat-vs-two-level crossover refines the topology request:
-	// when the table records that leader aggregation only pays off above
-	// some payload, smaller payloads take the flat selection even though the
-	// caller asked for two-level. Uncalibrated tables keep the structural
-	// default — two-level whenever requested.
-	if twoLevel && t != nil && t.Table != nil && hasTwoLevel(op) {
-		if m, ok := t.Table.TwoLevelMin[op.String()]; ok && (m < 0 || bytes <= m) {
-			twoLevel = false
-		}
-	}
-	if t != nil && t.Table != nil && !(twoLevel && hasTwoLevel(op)) {
-		if a, ok := t.Table.Lookup(op, size, bytes); ok {
-			return builderFallback(op, a, size)
-		}
-	}
-	switch op {
-	case OpBarrier:
-		if twoLevel {
-			return AlgoTwoLevel
-		}
-		return AlgoDissemination
-	case OpBcast:
-		if twoLevel {
-			return AlgoTwoLevel
-		}
-		if size < 8 || bytes <= t.bcastLong() {
-			return AlgoBinomial
-		}
-		return AlgoScatterAllgather
-	case OpReduce:
-		return AlgoBinomial
-	case OpAllreduce:
-		if twoLevel {
-			return AlgoTwoLevel
-		}
-		if size < 4 || size&(size-1) != 0 || bytes <= t.allreduceLong() {
-			return AlgoRecDoubling
-		}
-		return AlgoRabenseifner
-	case OpAllgather:
-		if twoLevel {
-			return AlgoTwoLevel
-		}
-		if bytes <= t.allgatherLong() {
-			return AlgoBruck
-		}
-		return AlgoRing
-	case OpAlltoall:
-		if twoLevel {
-			return AlgoTwoLevel
-		}
-		return AlgoPairwise
-	case OpGather, OpScatter, OpGatherv, OpScatterv:
-		return AlgoLinear
-	case OpAlltoallv:
-		// Per-rank counts are private, so selection may only key on the
-		// globally known rank count: XOR pairing for powers of two, rotated
-		// shifts otherwise (see vector.go on why size-based or Bruck-style
-		// choices are unavailable).
-		if size&(size-1) == 0 {
-			return AlgoPairwise
-		}
-		return AlgoRing
-	case OpAllgatherv:
-		// The full recvcounts vector is known on every rank, so the total
-		// payload is a globally consistent selector input.
-		if twoLevel {
-			return AlgoTwoLevel
-		}
-		if bytes <= t.allgatherLong() {
-			return AlgoBruck
-		}
-		return AlgoRing
-	case OpReduceScatter:
-		if size&(size-1) == 0 {
-			return AlgoRecHalving
-		}
-		return AlgoPairwise
-	}
-	panic(fmt.Sprintf("coll: select on unknown op %d", op))
 }
 
 // hasTwoLevel reports whether op has a registered hierarchical variant —
@@ -611,10 +580,10 @@ type Key struct {
 // or Len -1 when the lengths differ and Key.Sig lists them.
 type BlockShape struct{ N, Len int }
 
-// KeyFor selects the algorithm and builds the canonical key for one
+// KeyFor decides the selection and builds the canonical key for one
 // invocation. Topology-dependent fallbacks live here: the two-level
-// alltoall needs uniform block sizes and every two-level variant needs a
-// node map, otherwise the flat selection applies.
+// alltoall needs uniform block sizes and every two-level variant — forced
+// ones included — needs a node map, otherwise the flat selection applies.
 func KeyFor(t *Tuning, op OpKind, a Args, twoLevel bool) Key {
 	if twoLevel && a.Nodes == nil {
 		twoLevel = false
@@ -622,29 +591,11 @@ func KeyFor(t *Tuning, op OpKind, a Args, twoLevel bool) Key {
 	if twoLevel && op == OpAlltoall && !uniformBlocks(a.Send) {
 		twoLevel = false
 	}
-	bytes := payloadBytes(op, a)
-	algo := t.Select(op, a.Size, bytes, twoLevel)
-	if algo == AlgoTwoLevel && a.Nodes == nil {
-		// No node map, so the two-level builders cannot run — even when the
-		// tuning *forces* two-level: strip Force for the re-selection or it
-		// would just return AlgoTwoLevel again and the builder would panic.
-		noForce := Tuning{}
-		if t != nil {
-			noForce = *t
-			noForce.Force = nil
-		}
-		algo = noForce.Select(op, a.Size, bytes, false)
-	}
-	k := Key{Op: op, Algo: algo, Root: rootOf(op, a), NP: a.Size}
+	d := t.decide(op, a.Size, payloadBytes(op, a), twoLevel, a.Nodes != nil)
+	k := Key{Op: op, Algo: d.Algo, Root: rootOf(op, a), NP: a.Size, Seg: d.Seg, Stripe: d.Stripe}
 	k.setShape(op, a)
-	if Segmented(algo) {
-		k.Seg = t.SegFor(op, a.Size, bytes)
-	}
-	if Striped(op, algo) {
-		if w := t.StripeFor(op, a.Size, bytes); w > 0 {
-			k.Stripe = w
-			k.Rails = t.RailProfile()
-		}
+	if d.Stripe > 0 {
+		k.Rails = t.RailProfile()
 	}
 	if t != nil {
 		k.Stack = t.Stack

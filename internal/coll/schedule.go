@@ -68,9 +68,8 @@ type Prim struct {
 	// across the first w rails (nmad forces the rendezvous path and
 	// water-fills the bytes over those rails). The striped builders stamp
 	// the negative form on large sends (see stripe.go); executors forward
-	// the hint when the substrate is rail-aware (RailPtPt) and drop it
-	// otherwise, so the hint never changes what data moves — only which
-	// wires it moves on.
+	// the hint to the substrate, which may ignore it, so the hint never
+	// changes what data moves — only which wires it moves on.
 	Rail int
 }
 
@@ -190,27 +189,12 @@ func RunLocal(pr *Prim) {
 	}
 }
 
-// ExecBlocking runs the schedule synchronously over p with the given tag.
-// A round holding exactly one send and one recv becomes a SendRecvT exchange
-// (deadlock-free); otherwise sends are issued before receives.
-func ExecBlocking(p PtPt, s *Schedule, tag int32) {
-	ExecBlockingRec(p, s, tag, nil)
-}
-
-// ExecBlockingRec is ExecBlocking with per-round trace slices recorded on
-// rec's rounds track (nil rec records nothing).
-func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
-	// p's optional extension is asserted only for a prim with a rail hint,
-	// so a schedule without them (a Barrier) asserts nothing: until an
-	// assertion site's type cache is filled, the runtime fills it at random,
-	// about one call in a thousand, with an allocation.
-	rail := func(pr *Prim) RailPtPt {
-		if pr.Rail == 0 {
-			return nil
-		}
-		rp, _ := p.(RailPtPt)
-		return rp
-	}
+// ExecBlocking runs the schedule synchronously over p with the given tag,
+// recording per-round trace slices on rec's rounds track (nil rec records
+// nothing). A round holding exactly one send and one recv becomes a
+// SendRecvT exchange (deadlock-free); otherwise sends are issued before
+// receives.
+func ExecBlocking(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
 	name := ""
 	if rec.Enabled() {
 		name = s.Key.Op.String() + "/" + s.Key.Algo.String()
@@ -235,19 +219,11 @@ func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
 			}
 		}
 		if !multi && send != nil && recv != nil {
-			if rp := rail(send); rp != nil {
-				rp.SendRecvRailT(send.Peer, SendPayload(send), recv.Peer, RecvBuf(recv), tag, send.Rail)
-			} else {
-				p.SendRecvT(send.Peer, SendPayload(send), recv.Peer, RecvBuf(recv), tag)
-			}
+			p.SendRecvT(send.Peer, SendPayload(send), recv.Peer, RecvBuf(recv), tag, send.Rail)
 		} else {
 			for i := range rd.Comm {
 				if pr := &rd.Comm[i]; pr.Kind == PrimSend {
-					if rp := rail(pr); rp != nil {
-						rp.SendRailT(pr.Peer, tag, SendPayload(pr), pr.Rail)
-					} else {
-						p.SendT(pr.Peer, tag, SendPayload(pr))
-					}
+					p.SendT(pr.Peer, tag, SendPayload(pr), pr.Rail)
 				}
 			}
 			for i := range rd.Comm {
@@ -673,17 +649,12 @@ func BuildBarrierTwoLevel(rank int, nodes []int) *Schedule {
 	return s
 }
 
-// BuildBcastTwoLevel compiles a hierarchical broadcast: root feeds the
-// per-node leaders with a binomial tree over the network, each leader then
-// broadcasts over shared memory inside its node.
-func BuildBcastTwoLevel(rank int, nodes []int, root int, data []byte) *Schedule {
-	return BuildBcastTwoLevelStriped(rank, nodes, root, data, Striping{})
-}
-
-// BuildBcastTwoLevelStriped is BuildBcastTwoLevel with the inter-node
-// (leader tree) sends dealt across rails — parallel tree edges out of one
-// leader ride different rails. The intra-node phase runs over shared memory
-// and is never striped. The zero Striping compiles the identical unstriped
+// BuildBcastTwoLevelStriped compiles a hierarchical broadcast: root feeds
+// the per-node leaders with a binomial tree over the network, each leader
+// then broadcasts over shared memory inside its node. The inter-node
+// (leader tree) sends are dealt across rails — parallel tree edges out of
+// one leader ride different rails. The intra-node phase runs over shared
+// memory and is never striped. The zero Striping compiles the unstriped
 // schedule.
 func BuildBcastTwoLevelStriped(rank int, nodes []int, root int, data []byte, st Striping) *Schedule {
 	s := &Schedule{}
@@ -698,18 +669,13 @@ func BuildBcastTwoLevelStriped(rank int, nodes []int, root int, data []byte, st 
 	return s
 }
 
-// BuildAllreduceTwoLevel compiles a hierarchical allreduce: binomial reduce
-// to the node leader over shared memory, recursive-doubling allreduce among
-// leaders over the network, binomial broadcast of the result back over
-// shared memory. Commutative op only.
-func BuildAllreduceTwoLevel(rank int, nodes []int, x []float64, op Op) *Schedule {
-	return BuildAllreduceTwoLevelStriped(rank, nodes, x, op, Striping{})
-}
-
-// BuildAllreduceTwoLevelStriped is BuildAllreduceTwoLevel with the
-// inter-node (leader allreduce) sends dealt across rails; the intra-node
-// reduce and broadcast phases run over shared memory and are never striped.
-// The zero Striping compiles the identical unstriped schedule.
+// BuildAllreduceTwoLevelStriped compiles a hierarchical allreduce:
+// binomial reduce to the node leader over shared memory,
+// recursive-doubling allreduce among leaders over the network, binomial
+// broadcast of the result back over shared memory. Commutative op only.
+// The inter-node (leader allreduce) sends are dealt across rails; the
+// intra-node reduce and broadcast phases run over shared memory and are
+// never striped. The zero Striping compiles the unstriped schedule.
 func BuildAllreduceTwoLevelStriped(rank int, nodes []int, x []float64, op Op, st Striping) *Schedule {
 	s := &Schedule{}
 	if len(nodes) == 1 {

@@ -10,7 +10,7 @@ import (
 func execSched(t *testing.T, n int, build func(rank int) *Schedule, tag int32) {
 	t.Helper()
 	runAll(t, n, func(p *peer) {
-		ExecBlocking(p, build(p.Rank()), tag)
+		ExecBlocking(p, build(p.Rank()), tag, nil)
 	})
 }
 
@@ -87,8 +87,8 @@ func TestScheduleRoundShapes(t *testing.T) {
 			checkRoundShape(t, BuildAlltoall(rank, n, blocks(n), blocks(n)), fmt.Sprintf("alltoall/np%d/r%d", n, rank))
 			checkRoundShape(t, BuildGather(rank, n, 0, data[:8], blocks(n)), fmt.Sprintf("gather/np%d/r%d", n, rank))
 			checkRoundShape(t, BuildBarrierTwoLevel(rank, nodes), fmt.Sprintf("barrier2l/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildBcastTwoLevel(rank, nodes, 0, data), fmt.Sprintf("bcast2l/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAllreduceTwoLevel(rank, nodes, x, OpSum), fmt.Sprintf("allreduce2l/np%d/r%d", n, rank))
+			checkRoundShape(t, BuildBcastTwoLevelStriped(rank, nodes, 0, data, Striping{}), fmt.Sprintf("bcast2l/np%d/r%d", n, rank))
+			checkRoundShape(t, BuildAllreduceTwoLevelStriped(rank, nodes, x, OpSum, Striping{}), fmt.Sprintf("allreduce2l/np%d/r%d", n, rank))
 		}
 	}
 }
@@ -151,7 +151,7 @@ func TestTwoLevelBcastFabric(t *testing.T) {
 						}
 					}
 					execSched(t, n, func(rank int) *Schedule {
-						return BuildBcastTwoLevel(rank, nodes, root, bufs[rank])
+						return BuildBcastTwoLevelStriped(rank, nodes, root, bufs[rank], Striping{})
 					}, 11)
 					for r := range bufs {
 						for i := range bufs[r] {
@@ -183,7 +183,7 @@ func TestTwoLevelAllreduceFabric(t *testing.T) {
 					}
 				}
 				execSched(t, n, func(rank int) *Schedule {
-					return BuildAllreduceTwoLevel(rank, nodes, vecs[rank], OpSum)
+					return BuildAllreduceTwoLevelStriped(rank, nodes, vecs[rank], OpSum, Striping{})
 				}, 12)
 				for i := 0; i < m; i++ {
 					want := 0.0

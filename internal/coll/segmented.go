@@ -14,20 +14,23 @@ package coll
 //
 // Three builders live here:
 //
-//   - BuildBcastChain: the pipelined chain broadcast (the large-message
+//   - BuildBcastChainStriped: the pipelined chain broadcast (the large-message
 //     workhorse of Open MPI's tuned tables) — ranks form a chain in
 //     root-relative order and forward segment k downstream while receiving
 //     segment k+1, so the pipeline fills in p-1 segment times and then
 //     streams;
-//   - BuildBcastSegBinomial: the segmented binomial tree — segments flow
+//   - BuildBcastSegBinomialStriped: the segmented binomial tree — segments flow
 //     down the binomial tree back to back, with each interior node's
 //     receive of segment k+1 overlapped (SendRecvT) with its first forward
 //     of segment k;
-//   - BuildAllreduceSegRing: the segmented ring allreduce — a ring
+//   - BuildAllreduceSegRingStriped: the segmented ring allreduce — a ring
 //     reduce-scatter over per-rank windows followed by a ring allgather
 //     (prefixSums windows, as the vector builders use), each window moved
 //     in pipeline segments so the local reduction of one segment overlaps
 //     the transfer of the next across ranks.
+//
+// Each deals its sends across rails under a nonzero Striping (see
+// stripe.go); the zero Striping compiles the unstriped schedule.
 //
 // Segment size arrives through Args.Seg (resolved by KeyFor: Tuning's
 // SegBytes > table entry seg > DefSegBytes); every builder treats a
@@ -49,20 +52,13 @@ func segBounds(n, seg int) []int {
 	return append(bounds, n)
 }
 
-// BuildBcastChain compiles the pipelined chain broadcast: ranks order
+// BuildBcastChainStriped compiles the pipelined chain broadcast: ranks order
 // themselves root, root+1, ..., root-1 and each forwards segment k to its
 // successor while receiving segment k+1 from its predecessor (one
 // SendRecvT round per segment once the pipe is full). The critical path
 // carries n·(1 + (p-2)/S) bytes instead of the binomial tree's n·log2(p),
 // which is why the chain wins for large payloads despite its p-1 latency
-// terms.
-func BuildBcastChain(rank, size, root int, data []byte, seg int) *Schedule {
-	return BuildBcastChainStriped(rank, size, root, data, seg, Striping{})
-}
-
-// BuildBcastChainStriped is BuildBcastChain with the chain's per-segment
-// forwards dealt across rails (see stripe.go); the zero Striping compiles
-// the identical unstriped schedule.
+// terms. The chain's per-segment forwards are dealt across rails.
 func BuildBcastChainStriped(rank, size, root int, data []byte, seg int, st Striping) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
@@ -89,21 +85,16 @@ func BuildBcastChainStriped(rank, size, root int, data []byte, seg int, st Strip
 	return s
 }
 
-// BuildBcastSegBinomial compiles the segmented binomial broadcast: the
+// BuildBcastSegBinomialStriped compiles the segmented binomial broadcast: the
 // usual binomial tree (over root-relative ranks), but segments stream down
 // it back to back — an interior node forwards segment k to its subtrees
 // while already receiving segment k+1 from its parent (the receive rides
 // the first child round as a SendRecvT). Latency stays logarithmic like
 // the monolithic binomial tree, but a node's children stop waiting for the
-// whole payload to land before the forwarding starts.
-func BuildBcastSegBinomial(rank, size, root int, data []byte, seg int) *Schedule {
-	return BuildBcastSegBinomialStriped(rank, size, root, data, seg, Striping{})
-}
-
-// BuildBcastSegBinomialStriped is BuildBcastSegBinomial with each node's
-// per-segment forwards dealt across rails — consecutive child sends ride
-// different rails, so an interior node's fan-out streams in parallel over
-// the stack. The zero Striping compiles the identical unstriped schedule.
+// whole payload to land before the forwarding starts. Each node's
+// per-segment forwards are dealt across rails — consecutive child sends
+// ride different rails, so an interior node's fan-out streams in parallel
+// over the stack.
 func BuildBcastSegBinomialStriped(rank, size, root int, data []byte, seg int, st Striping) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
@@ -155,7 +146,7 @@ func BuildBcastSegBinomialStriped(rank, size, root int, data []byte, seg int, st
 	return s
 }
 
-// BuildAllreduceSegRing compiles the segmented ring allreduce: the vector
+// BuildAllreduceSegRingStriped compiles the segmented ring allreduce: the vector
 // is split into p near-uniform windows (prefixSums, as the reduce-scatter
 // builders use), a p-1 step ring reduce-scatter leaves rank r owning the
 // fully reduced window (r+1) mod p, and a p-1 step ring allgather streams
@@ -163,14 +154,8 @@ func BuildBcastSegBinomialStriped(rank, size, root int, data []byte, seg int, st
 // pipeline segments of at most seg bytes, so the elementwise reduction of
 // segment l overlaps the transfer of segment l+1 on the neighbouring rank.
 // Bandwidth-optimal (~2n elements per rank, like Rabenseifner) at any rank
-// count, power of two or not. Commutative op only.
-func BuildAllreduceSegRing(rank, size int, x []float64, op Op, seg int) *Schedule {
-	return BuildAllreduceSegRingStriped(rank, size, x, op, seg, Striping{})
-}
-
-// BuildAllreduceSegRingStriped is BuildAllreduceSegRing with the ring's
-// per-sub-segment sends dealt across rails; the zero Striping compiles the
-// identical unstriped schedule.
+// count, power of two or not. Commutative op only. The ring's
+// per-sub-segment sends are dealt across rails.
 func BuildAllreduceSegRingStriped(rank, size int, x []float64, op Op, seg int, st Striping) *Schedule {
 	s := &Schedule{}
 	if size == 1 {

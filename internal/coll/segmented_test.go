@@ -46,14 +46,14 @@ func TestSegmentedRoundShapes(t *testing.T) {
 		for _, seg := range segTestSegs {
 			for root := 0; root < n; root += 3 {
 				for rank := 0; rank < n; rank++ {
-					checkRoundShape(t, BuildBcastChain(rank, n, root, data, seg),
+					checkRoundShape(t, BuildBcastChainStriped(rank, n, root, data, seg, Striping{}),
 						fmt.Sprintf("chain/np%d/root%d/seg%d/r%d", n, root, seg, rank))
-					checkRoundShape(t, BuildBcastSegBinomial(rank, n, root, data, seg),
+					checkRoundShape(t, BuildBcastSegBinomialStriped(rank, n, root, data, seg, Striping{}),
 						fmt.Sprintf("segbinomial/np%d/root%d/seg%d/r%d", n, root, seg, rank))
 				}
 			}
 			for rank := 0; rank < n; rank++ {
-				checkRoundShape(t, BuildAllreduceSegRing(rank, n, x, OpSum, seg),
+				checkRoundShape(t, BuildAllreduceSegRingStriped(rank, n, x, OpSum, seg, Striping{}),
 					fmt.Sprintf("segring/np%d/seg%d/r%d", n, seg, rank))
 			}
 		}
@@ -63,7 +63,7 @@ func TestSegmentedRoundShapes(t *testing.T) {
 // TestBcastChainFabric / TestBcastSegBinomialFabric: payload correctness
 // over the in-memory fabric at explicit (non-default) segment sizes — the
 // conformance harness only exercises the default segment size.
-func testSegBcastFabric(t *testing.T, name string, build func(rank, n, root int, data []byte, seg int) *Schedule) {
+func testSegBcastFabric(t *testing.T, name string, build func(rank, n, root int, data []byte, seg int, st Striping) *Schedule) {
 	for _, n := range testNPs {
 		for _, seg := range segTestSegs {
 			for root := 0; root < n; root += 5 {
@@ -80,7 +80,7 @@ func testSegBcastFabric(t *testing.T, name string, build func(rank, n, root int,
 						}
 					}
 					execSched(t, n, func(rank int) *Schedule {
-						return build(rank, n, root, bufs[rank], seg)
+						return build(rank, n, root, bufs[rank], seg, Striping{})
 					}, 42)
 					for r := range bufs {
 						for i := range bufs[r] {
@@ -97,11 +97,11 @@ func testSegBcastFabric(t *testing.T, name string, build func(rank, n, root int,
 }
 
 func TestBcastChainFabric(t *testing.T) {
-	testSegBcastFabric(t, "chain", BuildBcastChain)
+	testSegBcastFabric(t, "chain", BuildBcastChainStriped)
 }
 
 func TestBcastSegBinomialFabric(t *testing.T) {
-	testSegBcastFabric(t, "segmented-binomial", BuildBcastSegBinomial)
+	testSegBcastFabric(t, "segmented-binomial", BuildBcastSegBinomialStriped)
 }
 
 // TestAllreduceSegRingFabric: the segmented ring allreduce produces the
@@ -122,7 +122,7 @@ func TestAllreduceSegRingFabric(t *testing.T) {
 						}
 					}
 					execSched(t, n, func(rank int) *Schedule {
-						return BuildAllreduceSegRing(rank, n, vecs[rank], OpSum, seg)
+						return BuildAllreduceSegRingStriped(rank, n, vecs[rank], OpSum, seg, Striping{})
 					}, 43)
 					for i := 0; i < m; i++ {
 						want := 0.0
@@ -169,8 +169,8 @@ func TestKeyForSegmented(t *testing.T) {
 
 	// A calibrated table entry supplies the segment size when SegBytes does
 	// not force one...
-	tab := &Table{Stack: "s", Ops: map[string][]TableEntry{
-		"bcast": {{MaxBytes: -1, Algo: AlgoChain, Seg: 2048}},
+	tab := &Table{Stack: "s", Bands: map[string][]NPBand{
+		"bcast": anyNP(TableEntry{MaxBytes: -1, Algo: AlgoChain, Seg: 2048}),
 	}}
 	if err := tab.Validate(); err != nil {
 		t.Fatal(err)
@@ -197,14 +197,14 @@ func TestKeyForSegmented(t *testing.T) {
 // segment size on a non-segmented algorithm is dead config, a negative one
 // is malformed.
 func TestSegTableValidation(t *testing.T) {
-	bad := &Table{Stack: "s", Ops: map[string][]TableEntry{
-		"bcast": {{MaxBytes: -1, Algo: AlgoBinomial, Seg: 4096}},
+	bad := &Table{Stack: "s", Bands: map[string][]NPBand{
+		"bcast": anyNP(TableEntry{MaxBytes: -1, Algo: AlgoBinomial, Seg: 4096}),
 	}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("seg on binomial accepted")
 	}
-	neg := &Table{Stack: "s", Ops: map[string][]TableEntry{
-		"bcast": {{MaxBytes: -1, Algo: AlgoChain, Seg: -1}},
+	neg := &Table{Stack: "s", Bands: map[string][]NPBand{
+		"bcast": anyNP(TableEntry{MaxBytes: -1, Algo: AlgoChain, Seg: -1}),
 	}}
 	if err := neg.Validate(); err == nil {
 		t.Fatal("negative seg accepted")

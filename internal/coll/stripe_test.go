@@ -104,28 +104,33 @@ func TestTwoLevelStripedStampsOnlyInterNodePhase(t *testing.T) {
 	}
 }
 
+// TestStripeForPrecedence: Decide's stripe width — StripeWidth > table
+// entry > off, clamped to the rail count, only with two or more rails and
+// only for a striped algorithm.
 func TestStripeForPrecedence(t *testing.T) {
 	rails := twoRails()
-	table := &Table{Stack: "s", Ops: map[string][]TableEntry{
-		"bcast": {{MaxBytes: -1, Algo: AlgoChain, Seg: 32 << 10, Stripe: 2}},
+	table := &Table{Stack: "s", Bands: map[string][]NPBand{
+		"bcast": anyNP(TableEntry{MaxBytes: -1, Algo: AlgoChain, Seg: 32 << 10, Stripe: 2}),
 	}}
+	chain := map[OpKind]Algo{OpBcast: AlgoChain}
 	cases := []struct {
 		name string
 		tun  *Tuning
 		want int
 	}{
 		{"nil tuning", nil, 0},
-		{"single rail", &Tuning{StripeWidth: 2, Rails: rails[:1]}, 0},
-		{"no source", &Tuning{Rails: rails}, 0},
-		{"forced", &Tuning{StripeWidth: 2, Rails: rails}, 2},
-		{"forced clamps", &Tuning{StripeWidth: 7, Rails: rails}, 2},
-		{"forced width 1 off", &Tuning{StripeWidth: 1, Rails: rails}, 0},
+		{"single rail", &Tuning{Force: chain, StripeWidth: 2, Rails: rails[:1]}, 0},
+		{"no source", &Tuning{Force: chain, Rails: rails}, 0},
+		{"forced", &Tuning{Force: chain, StripeWidth: 2, Rails: rails}, 2},
+		{"forced clamps", &Tuning{Force: chain, StripeWidth: 7, Rails: rails}, 2},
+		{"forced width 1 off", &Tuning{Force: chain, StripeWidth: 1, Rails: rails}, 0},
+		{"unstriped algorithm", &Tuning{StripeWidth: 2, Rails: rails}, 0},
 		{"table entry", &Tuning{Table: table, Rails: rails}, 2},
 		{"force beats table", &Tuning{StripeWidth: 2, Table: table, Rails: rails}, 2},
 	}
 	for _, tc := range cases {
-		if got := tc.tun.StripeFor(OpBcast, 8, 1<<20); got != tc.want {
-			t.Errorf("%s: StripeFor = %d, want %d", tc.name, got, tc.want)
+		if got := tc.tun.Decide(OpBcast, 8, 1<<20, false).Stripe; got != tc.want {
+			t.Errorf("%s: stripe = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

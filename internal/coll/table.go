@@ -9,7 +9,8 @@ package coll
 // leave performance on the table on another.
 //
 // The format is deliberately minimal: per operation, an ascending list of
-// inclusive byte bounds, the last one open-ended. Bytes are in the
+// inclusive rank-count bounds, each holding an ascending list of inclusive
+// byte bounds, the last one open-ended. Bytes are in the
 // *selector's* size space (payloadBytes in registry.go): the full buffer
 // for bcast, 8·len(x) for the reductions, the total gathered payload for
 // allgather/allgatherv. Selection safety for vector ops is unchanged — the
@@ -30,7 +31,7 @@ import (
 // seg on a non-segmented algorithm as dead config. For rail-striped
 // algorithms Stripe records the calibrated rail-stripe width (0 = no
 // striping; widths beyond the running stack's rail count clamp at
-// resolution, see Tuning.StripeFor); validation likewise rejects a stripe
+// resolution, see Tuning.Decide); validation likewise rejects a stripe
 // on an algorithm that cannot stripe.
 type TableEntry struct {
 	MaxBytes int  `json:"max_bytes"`
@@ -46,29 +47,25 @@ type TableEntry struct {
 // NP=8 say nothing about NP=4096, where log-depth fan-out, tree height and
 // payload aggregation all shift, so a lookup beyond the last band falls
 // back to the (rank-count-aware) built-in defaults instead of silently
-// stretching a small-scale calibration three orders of magnitude.
+// stretching a small-scale calibration three orders of magnitude. A list
+// that applies at every rank count is one band with MaxNP -1.
 type NPBand struct {
 	MaxNP   int          `json:"max_np"`
 	Entries []TableEntry `json:"entries"`
 }
 
 // Table holds calibrated per-operation selection thresholds for one stack.
-// Ops is keyed by OpKind name ("bcast", "allreduce", ...); operations
-// absent from both maps keep the built-in default selection.
+// Bands is keyed by OpKind name ("bcast", "allreduce", ...); operations
+// absent from it keep the built-in default selection.
 type Table struct {
 	// Stack names the MPI stack the table was calibrated on
 	// (cluster.Stack.Name). Tuning.Validate rejects a known mismatch with
 	// the stack selection runs under — see that method for the deliberate
 	// cross-application escape hatch.
 	Stack string `json:"stack"`
-	// Ops holds unbanded entry lists: thresholds applied at every rank
-	// count. The legacy (pre-banding) format; colltune now always emits
-	// Bands, but hand-written unbanded tables keep loading.
-	Ops map[string][]TableEntry `json:"ops,omitempty"`
-	// Bands holds rank-count-banded entry lists, ascending by MaxNP. An
-	// operation may appear in Ops or Bands, not both. A rank count beyond
-	// the last band deliberately misses: the calibration does not claim
-	// validity there.
+	// Bands holds rank-count-banded entry lists, ascending by MaxNP. A
+	// rank count beyond the last band deliberately misses: the calibration
+	// does not claim validity there.
 	Bands map[string][]NPBand `json:"bands,omitempty"`
 	// TwoLevelMin calibrates the flat-vs-two-level crossover per operation:
 	// when the caller requests the hierarchical variant, two-level is only
@@ -217,18 +214,6 @@ func (t *Table) validateEntries(op OpKind, entries []TableEntry) error {
 // byte list. Errors name the offending operation and entry so a hand-edited
 // table fails loudly instead of silently falling back to defaults.
 func (t *Table) Validate() error {
-	for opName, entries := range t.Ops {
-		op, err := t.checkOp(opName)
-		if err != nil {
-			return err
-		}
-		if _, dup := t.Bands[opName]; dup {
-			return fmt.Errorf("coll: table for stack %q: op %s appears in both ops and bands", t.Stack, op)
-		}
-		if err := t.validateEntries(op, entries); err != nil {
-			return err
-		}
-	}
 	for opName, bands := range t.Bands {
 		op, err := t.checkOp(opName)
 		if err != nil {
@@ -268,58 +253,37 @@ func (t *Table) Validate() error {
 	return nil
 }
 
-// Lookup returns the table's algorithm for op on np ranks at bytes of
-// payload, or (AlgoAuto, false) when the table has no applicable entry.
-func (t *Table) Lookup(op OpKind, np, bytes int) (Algo, bool) {
-	e, ok := t.LookupEntry(op, np, bytes)
-	return e.Algo, ok
-}
-
-// LookupEntry returns the full table entry matching op on np ranks at bytes
-// of payload — algorithm plus its calibrated segment size — or (zero,
-// false) when the table has no applicable entry. Banded operations resolve
-// through the first band covering np; a rank count beyond the last band
-// misses deliberately (the calibration's validity ends there, the built-in
-// rank-count-aware defaults take over). Unbanded operations apply at every
-// rank count.
+// LookupEntry returns the table entry matching op on np ranks at bytes of
+// payload — algorithm plus its calibrated segment size and stripe width —
+// or (zero, false) when the table has no applicable entry. The first band
+// covering np applies; a rank count beyond the last band misses
+// deliberately (the calibration's validity ends there, the built-in
+// rank-count-aware defaults take over).
 func (t *Table) LookupEntry(op OpKind, np, bytes int) (TableEntry, bool) {
 	if t == nil {
 		return TableEntry{}, false
 	}
-	entries, ok := t.Ops[op.String()]
-	if !ok {
-		bands, bok := t.Bands[op.String()]
-		if !bok {
-			return TableEntry{}, false
+	for _, b := range t.Bands[op.String()] {
+		if b.MaxNP >= 0 && np > b.MaxNP {
+			continue
 		}
-		for _, b := range bands {
-			if b.MaxNP < 0 || np <= b.MaxNP {
-				entries = b.Entries
-				break
+		for _, e := range b.Entries {
+			if e.MaxBytes < 0 || bytes <= e.MaxBytes {
+				return e, true
 			}
 		}
-		if entries == nil {
-			return TableEntry{}, false
-		}
+		// Validate guarantees an unbounded final entry; an unvalidated
+		// table without one falls through to the defaults rather than
+		// panicking.
+		break
 	}
-	for _, e := range entries {
-		if e.MaxBytes < 0 || bytes <= e.MaxBytes {
-			return e, true
-		}
-	}
-	// Validate guarantees an unbounded final entry; an unvalidated table
-	// without one falls through to the defaults rather than panicking.
 	return TableEntry{}, false
 }
 
-// OpNames returns the table's operation names (banded and unbanded) in
-// sorted order — the deterministic iteration order serializers and reports
-// use.
+// OpNames returns the table's operation names in sorted order — the
+// deterministic iteration order serializers and reports use.
 func (t *Table) OpNames() []string {
-	names := make([]string, 0, len(t.Ops)+len(t.Bands))
-	for n := range t.Ops {
-		names = append(names, n)
-	}
+	names := make([]string, 0, len(t.Bands))
 	for n := range t.Bands {
 		names = append(names, n)
 	}

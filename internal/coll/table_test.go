@@ -7,7 +7,7 @@ import (
 )
 
 // TestZeroValueTuningMatchesDefaults: the zero Tuning and the nil Tuning
-// select identically over the whole (op, size, bytes, twoLevel) grid — the
+// decide identically over the whole (op, size, bytes, twoLevel) grid — the
 // guarantee that adding tables changed nothing for untouched configs.
 // (TestSelectTable pins the nil selection to the documented defaults, so
 // equality here pins the zero value to them too.)
@@ -20,10 +20,10 @@ func TestZeroValueTuningMatchesDefaults(t *testing.T) {
 		for _, size := range sizes {
 			for _, b := range bytess {
 				for _, twoLevel := range []bool{false, true} {
-					got := zero.Select(op, size, b, twoLevel)
-					want := nilTn.Select(op, size, b, twoLevel)
+					got := zero.Decide(op, size, b, twoLevel)
+					want := nilTn.Decide(op, size, b, twoLevel)
 					if got != want {
-						t.Fatalf("Select(%s, np%d, %dB, 2lvl=%v): zero Tuning = %s, nil = %s",
+						t.Fatalf("Decide(%s, np%d, %dB, 2lvl=%v): zero Tuning = %+v, nil = %+v",
 							op, size, b, twoLevel, got, want)
 					}
 				}
@@ -32,12 +32,18 @@ func TestZeroValueTuningMatchesDefaults(t *testing.T) {
 	}
 	// Spot-pin two documented defaults so this test fails on its own if the
 	// default table itself moves.
-	if got := zero.Select(OpBcast, 16, DefBcastLong+1, false); got != AlgoScatterAllgather {
-		t.Errorf("zero-value bcast above threshold = %s, want scatter-allgather", got)
+	if got := zero.Decide(OpBcast, 16, 12<<10+1, false); got != (Decision{Algo: AlgoScatterAllgather}) {
+		t.Errorf("zero-value bcast above threshold = %+v, want scatter-allgather", got)
 	}
-	if got := zero.Select(OpAllgather, 8, DefAllgatherLong, false); got != AlgoBruck {
-		t.Errorf("zero-value allgather at threshold = %s, want bruck", got)
+	if got := zero.Decide(OpAllgather, 8, 32<<10, false); got != (Decision{Algo: AlgoBruck}) {
+		t.Errorf("zero-value allgather at threshold = %+v, want bruck", got)
 	}
+}
+
+// anyNP is an entry list that applies at every rank count: one band with
+// MaxNP -1.
+func anyNP(entries ...TableEntry) []NPBand {
+	return []NPBand{{MaxNP: -1, Entries: entries}}
 }
 
 func tableFlippingAllgather() *Table {
@@ -45,15 +51,15 @@ func tableFlippingAllgather() *Table {
 	// switches at 32 KB) and bcast switches later than the default.
 	return &Table{
 		Stack: "test-stack",
-		Ops: map[string][]TableEntry{
-			"allgather": {
-				{MaxBytes: 8 << 10, Algo: AlgoBruck},
-				{MaxBytes: -1, Algo: AlgoRing},
-			},
-			"bcast": {
-				{MaxBytes: 48 << 10, Algo: AlgoBinomial},
-				{MaxBytes: -1, Algo: AlgoScatterAllgather},
-			},
+		Bands: map[string][]NPBand{
+			"allgather": anyNP(
+				TableEntry{MaxBytes: 8 << 10, Algo: AlgoBruck},
+				TableEntry{MaxBytes: -1, Algo: AlgoRing},
+			),
+			"bcast": anyNP(
+				TableEntry{MaxBytes: 48 << 10, Algo: AlgoBinomial},
+				TableEntry{MaxBytes: -1, Algo: AlgoScatterAllgather},
+			),
 		},
 	}
 }
@@ -98,9 +104,9 @@ func TestTableDrivenSelection(t *testing.T) {
 func TestTableFallbackNormalization(t *testing.T) {
 	tab := &Table{
 		Stack: "t",
-		Ops: map[string][]TableEntry{
-			"allreduce":      {{MaxBytes: -1, Algo: AlgoRabenseifner}},
-			"reduce-scatter": {{MaxBytes: -1, Algo: AlgoRecHalving}},
+		Bands: map[string][]NPBand{
+			"allreduce":      anyNP(TableEntry{MaxBytes: -1, Algo: AlgoRabenseifner}),
+			"reduce-scatter": anyNP(TableEntry{MaxBytes: -1, Algo: AlgoRecHalving}),
 		},
 	}
 	if err := tab.Validate(); err != nil {
@@ -129,16 +135,19 @@ func TestParseTableErrors(t *testing.T) {
 		name, json, want string
 	}{
 		{"garbage", `{]`, "parsing tuning table"},
-		{"unknown field", `{"stack":"s","ops":{},"extra":1}`, "parsing tuning table"},
-		{"unknown op", `{"stack":"s","ops":{"allgathr":[{"max_bytes":-1,"algo":"ring"}]}}`, `unknown operation "allgathr"`},
-		{"unknown algo", `{"stack":"s","ops":{"allgather":[{"max_bytes":-1,"algo":"rings"}]}}`, `unknown algorithm "rings"`},
-		{"unregistered pair", `{"stack":"s","ops":{"allgather":[{"max_bytes":-1,"algo":"binomial"}]}}`, "no binomial builder registered"},
-		{"not byte-tunable", `{"stack":"s","ops":{"alltoallv":[{"max_bytes":4096,"algo":"pairwise"},{"max_bytes":-1,"algo":"ring"}]}}`, "does not key on payload size"},
-		{"two-level entry", `{"stack":"s","ops":{"bcast":[{"max_bytes":-1,"algo":"two-level"}]}}`, "not a flat algorithm"},
-		{"empty op", `{"stack":"s","ops":{"bcast":[]}}`, "no entries"},
-		{"not ascending", `{"stack":"s","ops":{"bcast":[{"max_bytes":4096,"algo":"binomial"},{"max_bytes":1024,"algo":"binomial"},{"max_bytes":-1,"algo":"scatter-allgather"}]}}`, "not ascending"},
-		{"bounded last", `{"stack":"s","ops":{"bcast":[{"max_bytes":4096,"algo":"binomial"}]}}`, "must be unbounded"},
-		{"unbounded not last", `{"stack":"s","ops":{"bcast":[{"max_bytes":-1,"algo":"binomial"},{"max_bytes":4096,"algo":"binomial"}]}}`, "must be last"},
+		{"unknown field", `{"stack":"s","bands":{},"extra":1}`, "parsing tuning table"},
+		// The unbanded format is gone: an entry list at every rank count is one
+		// band with max_np -1.
+		{"unbanded ops", `{"stack":"s","ops":{"bcast":[{"max_bytes":-1,"algo":"binomial"}]}}`, `unknown field "ops"`},
+		{"unknown op", `{"stack":"s","bands":{"allgathr":[{"max_np":-1,"entries":[{"max_bytes":-1,"algo":"ring"}]}]}}`, `unknown operation "allgathr"`},
+		{"unknown algo", `{"stack":"s","bands":{"allgather":[{"max_np":-1,"entries":[{"max_bytes":-1,"algo":"rings"}]}]}}`, `unknown algorithm "rings"`},
+		{"unregistered pair", `{"stack":"s","bands":{"allgather":[{"max_np":-1,"entries":[{"max_bytes":-1,"algo":"binomial"}]}]}}`, "no binomial builder registered"},
+		{"not byte-tunable", `{"stack":"s","bands":{"alltoallv":[{"max_np":-1,"entries":[{"max_bytes":4096,"algo":"pairwise"},{"max_bytes":-1,"algo":"ring"}]}]}}`, "does not key on payload size"},
+		{"two-level entry", `{"stack":"s","bands":{"bcast":[{"max_np":-1,"entries":[{"max_bytes":-1,"algo":"two-level"}]}]}}`, "not a flat algorithm"},
+		{"empty op", `{"stack":"s","bands":{"bcast":[{"max_np":-1,"entries":[]}]}}`, "no entries"},
+		{"not ascending", `{"stack":"s","bands":{"bcast":[{"max_np":-1,"entries":[{"max_bytes":4096,"algo":"binomial"},{"max_bytes":1024,"algo":"binomial"},{"max_bytes":-1,"algo":"scatter-allgather"}]}]}}`, "not ascending"},
+		{"bounded last", `{"stack":"s","bands":{"bcast":[{"max_np":-1,"entries":[{"max_bytes":4096,"algo":"binomial"}]}]}}`, "must be unbounded"},
+		{"unbounded not last", `{"stack":"s","bands":{"bcast":[{"max_np":-1,"entries":[{"max_bytes":-1,"algo":"binomial"},{"max_bytes":4096,"algo":"binomial"}]}]}}`, "must be last"},
 	}
 	for _, c := range cases {
 		_, err := ParseTable([]byte(c.json))
@@ -231,34 +240,28 @@ func TestKeyCarriesStack(t *testing.T) {
 }
 
 // TestTableBeatsLongOverride pins the documented precedence order
-// (Force > two-level > Table > *Long > defaults): when a table covers an
-// operation, a conflicting *Long override is dead — selection must follow
-// the table in both directions of the conflict, and the *Long knob only
-// resurfaces for operations the table does not cover.
+// (Force > two-level > Table > defaults): when a table covers an
+// operation, selection follows the table in both directions of a conflict
+// with the built-in default table.
 func TestTableBeatsLongOverride(t *testing.T) {
-	tab := &Table{Stack: "s", Ops: map[string][]TableEntry{
-		"bcast":     {{MaxBytes: -1, Algo: AlgoBinomial}},
-		"allreduce": {{MaxBytes: -1, Algo: AlgoRabenseifner}},
+	tab := &Table{Stack: "s", Bands: map[string][]NPBand{
+		"bcast":     anyNP(TableEntry{MaxBytes: -1, Algo: AlgoBinomial}),
+		"allreduce": anyNP(TableEntry{MaxBytes: -1, Algo: AlgoRabenseifner}),
 	}}
 	if err := tab.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tn := &Tuning{
-		Table:         tab,
-		Stack:         "s",
-		BcastLong:     1,       // default switch would say scatter-allgather at 64KB
-		AllreduceLong: 1 << 30, // default switch would say recursive-doubling at 64KB
-	}
+	tn := &Tuning{Table: tab, Stack: "s"}
+	// The default table says scatter-allgather for bcast at 64KB...
 	if got := tn.Select(OpBcast, 8, 64<<10, false); got != AlgoBinomial {
-		t.Errorf("bcast under table+BcastLong = %s, want binomial (table must beat *Long)", got)
+		t.Errorf("bcast under table = %s, want binomial (table must beat defaults)", got)
 	}
-	if got := tn.Select(OpAllreduce, 8, 64<<10, false); got != AlgoRabenseifner {
-		t.Errorf("allreduce under table+AllreduceLong = %s, want rabenseifner (table must beat *Long)", got)
+	// ...and recursive-doubling for allreduce at 1KB.
+	if got := tn.Select(OpAllreduce, 8, 1<<10, false); got != AlgoRabenseifner {
+		t.Errorf("allreduce under table = %s, want rabenseifner (table must beat defaults)", got)
 	}
-	// Allgather is NOT covered by this table, so its *Long override still
-	// applies — the knob is only dead for covered operations.
-	tn.AllgatherLong = 1
+	// Allgather is NOT covered by this table, so the defaults apply.
 	if got := tn.Select(OpAllgather, 8, 64<<10, false); got != AlgoRing {
-		t.Errorf("allgather (uncovered) with AllgatherLong=1 = %s, want ring (the *Long applies)", got)
+		t.Errorf("allgather (uncovered) = %s, want ring (the default)", got)
 	}
 }

@@ -301,33 +301,27 @@ func Sweep(stack cluster.Stack, o Options) (*Result, error) {
 	return res, nil
 }
 
-// algoSeg is one candidate configuration of the sweep: an algorithm plus
-// its pipeline segment size (0 for the monolithic algorithms) and its
-// rail-stripe width (0 for unstriped measurements).
-type algoSeg struct {
-	Algo   coll.Algo
-	Seg    int
-	Stripe int
-}
-
 // npBytes addresses one sweep cell: rank count × benchmark bytes.
 type npBytes struct {
 	NP, Bytes int
 }
 
-// indexPoints arranges sweep measurements as op → (np, bytes) →
-// (algo, seg) → per-op µs, the shape both buildTable and Check consume.
-func indexPoints(points []Point) map[coll.OpKind]map[npBytes]map[algoSeg]float64 {
-	times := make(map[coll.OpKind]map[npBytes]map[algoSeg]float64)
+// indexPoints arranges sweep measurements as op → (np, bytes) → measured
+// configuration → per-op µs, the shape both buildTable and Check consume.
+// A configuration is keyed as the coll.Decision that selects it: an
+// algorithm plus its pipeline segment size (0 for the monolithic
+// algorithms) and its rail-stripe width (0 for unstriped measurements).
+func indexPoints(points []Point) map[coll.OpKind]map[npBytes]map[coll.Decision]float64 {
+	times := make(map[coll.OpKind]map[npBytes]map[coll.Decision]float64)
 	for _, p := range points {
 		if times[p.Op] == nil {
-			times[p.Op] = make(map[npBytes]map[algoSeg]float64)
+			times[p.Op] = make(map[npBytes]map[coll.Decision]float64)
 		}
 		cell := npBytes{p.NP, p.Bytes}
 		if times[p.Op][cell] == nil {
-			times[p.Op][cell] = make(map[algoSeg]float64)
+			times[p.Op][cell] = make(map[coll.Decision]float64)
 		}
-		times[p.Op][cell][algoSeg{p.Algo, p.Seg, p.Stripe}] = p.PerOpUS
+		times[p.Op][cell][coll.Decision{Algo: p.Algo, Seg: p.Seg, Stripe: p.Stripe}] = p.PerOpUS
 	}
 	return times
 }
@@ -337,8 +331,8 @@ func indexPoints(points []Point) map[coll.OpKind]map[npBytes]map[algoSeg]float64
 // (latency-optimal algorithms lead), ascending segment sizes within a
 // segmented candidate, ascending stripe widths within a segment size — so
 // an exact tie keeps the unstriped configuration.
-func candConfigs(op coll.OpKind, segs, stripes []int) []algoSeg {
-	var cs []algoSeg
+func candConfigs(op coll.OpKind, segs, stripes []int) []coll.Decision {
+	var cs []coll.Decision
 	for _, algo := range Candidates[op] {
 		strs := []int{0}
 		if coll.Striped(op, algo) {
@@ -347,13 +341,13 @@ func candConfigs(op coll.OpKind, segs, stripes []int) []algoSeg {
 		if coll.Segmented(algo) {
 			for _, seg := range segs {
 				for _, stripe := range strs {
-					cs = append(cs, algoSeg{algo, seg, stripe})
+					cs = append(cs, coll.Decision{Algo: algo, Seg: seg, Stripe: stripe})
 				}
 			}
 			continue
 		}
 		for _, stripe := range strs {
-			cs = append(cs, algoSeg{algo, 0, stripe})
+			cs = append(cs, coll.Decision{Algo: algo, Stripe: stripe})
 		}
 	}
 	return cs
@@ -362,8 +356,8 @@ func candConfigs(op coll.OpKind, segs, stripes []int) []algoSeg {
 // flatWinner picks the fastest measured flat configuration of a sweep cell.
 // Ties keep the earlier configuration — deterministic, and candConfigs
 // order puts the latency-optimal algorithm first.
-func flatWinner(op coll.OpKind, byCfg map[algoSeg]float64, segs, stripes []int) (algoSeg, float64, bool) {
-	var winner algoSeg
+func flatWinner(op coll.OpKind, byCfg map[coll.Decision]float64, segs, stripes []int) (coll.Decision, float64, bool) {
+	var winner coll.Decision
 	best := 0.0
 	found := false
 	for _, cfg := range candConfigs(op, segs, stripes) {
@@ -427,7 +421,7 @@ func buildTable(stackName string, o Options, stripes []int, points []Point) (*co
 			prevSel := 0
 			for _, bytes := range o.Sizes {
 				byCfg := times[op][npBytes{npMax, bytes}]
-				tl, ok := byCfg[algoSeg{coll.AlgoTwoLevel, 0, 0}]
+				tl, ok := byCfg[coll.Decision{Algo: coll.AlgoTwoLevel}]
 				if !ok {
 					break // two-level not swept; leave the structural default
 				}
@@ -454,45 +448,38 @@ func buildTable(stackName string, o Options, stripes []int, points []Point) (*co
 }
 
 // Violation is one swept point where the tuned table selected a slower
-// algorithm than the built-in defaults — Check returning any is a
+// configuration than the built-in defaults — Check returning any is a
 // calibration bug.
 type Violation struct {
 	Op                 coll.OpKind
 	NP                 int
 	Bytes              int
-	TunedAlgo          coll.Algo
-	TunedSeg           int
-	TunedStripe        int
-	DefaultAlgo        coll.Algo
+	Tuned, Default     coll.Decision
 	TunedUS, DefaultUS float64
 }
 
 func (v Violation) String() string {
 	seg := ""
-	if v.TunedSeg > 0 {
-		seg = fmt.Sprintf("/seg%d", v.TunedSeg)
+	if v.Tuned.Seg > 0 {
+		seg = fmt.Sprintf("/seg%d", v.Tuned.Seg)
 	}
-	if v.TunedStripe > 0 {
-		seg += fmt.Sprintf("/stripe%d", v.TunedStripe)
+	if v.Tuned.Stripe > 0 {
+		seg += fmt.Sprintf("/stripe%d", v.Tuned.Stripe)
 	}
 	return fmt.Sprintf("%s @ %dB np%d: tuned %s%s (%.2fµs) > default %s (%.2fµs)",
-		v.Op, v.Bytes, v.NP, v.TunedAlgo, seg, v.TunedUS, v.DefaultAlgo, v.DefaultUS)
+		v.Op, v.Bytes, v.NP, v.Tuned.Algo, seg, v.TunedUS, v.Default.Algo, v.DefaultUS)
 }
 
 // Check replays selection over every swept point and asserts the tuned
-// table's pick — algorithm plus segment size plus stripe width — is never
-// slower than the default pick. All selections are resolved through
-// coll.Tuning.Select (and SegFor / StripeFor, with the stack's rails bound
-// so striped table entries resolve), the same code path mpi uses, so
-// builder fallback normalization is honoured.
+// table's decision — algorithm plus segment size plus stripe width — is
+// never slower than the default one. Both are resolved by
+// coll.Tuning.Decide, with the stack's rails bound so striped table
+// entries resolve: the same code path mpi uses, so builder fallback
+// normalization is honoured.
 func Check(res *Result) []Violation {
 	tuned := &coll.Tuning{Table: res.Table, Stack: res.Stack}
 	if s, ok := StackByName(res.Stack); ok {
-		for _, rp := range s.Rails {
-			tuned.Rails = append(tuned.Rails, coll.RailInfo{
-				Name: rp.Name, LatencyNS: int64(rp.Latency), BytesPerSec: rp.BytesPerSec,
-			})
-		}
+		tuned.Rails = stackRails(s)
 	}
 	var def *coll.Tuning
 	times := indexPoints(res.Points)
@@ -500,28 +487,19 @@ func Check(res *Result) []Violation {
 	for op, byCell := range times {
 		for cell, byCfg := range byCell {
 			sel := SelectorBytes(op, cell.NP, cell.Bytes)
-			ta := tuned.Select(op, cell.NP, sel, false)
-			tseg := 0
-			if coll.Segmented(ta) {
-				tseg = tuned.SegFor(op, cell.NP, sel)
-			}
-			tstripe := 0
-			if coll.Striped(op, ta) {
-				tstripe = tuned.StripeFor(op, cell.NP, sel)
-			}
-			da := def.Select(op, cell.NP, sel, false)
-			tt, tok := byCfg[algoSeg{ta, tseg, tstripe}]
-			dt, dok := byCfg[algoSeg{da, 0, 0}]
+			v := Violation{Op: op, NP: cell.NP, Bytes: cell.Bytes,
+				Tuned: tuned.Decide(op, cell.NP, sel, false), Default: def.Decide(op, cell.NP, sel, false)}
+			tt, tok := byCfg[v.Tuned]
+			dt, dok := byCfg[v.Default]
 			if !tok || !dok {
 				// A selection outside the measured candidate pool means the
 				// sweep grid and the selector disagree — surface it.
-				viols = append(viols, Violation{Op: op, NP: cell.NP, Bytes: cell.Bytes,
-					TunedAlgo: ta, TunedSeg: tseg, TunedStripe: tstripe, DefaultAlgo: da})
+				viols = append(viols, v)
 				continue
 			}
 			if tt > dt {
-				viols = append(viols, Violation{Op: op, NP: cell.NP, Bytes: cell.Bytes,
-					TunedAlgo: ta, TunedSeg: tseg, TunedStripe: tstripe, DefaultAlgo: da, TunedUS: tt, DefaultUS: dt})
+				v.TunedUS, v.DefaultUS = tt, dt
+				viols = append(viols, v)
 			}
 		}
 	}
@@ -535,6 +513,18 @@ func Check(res *Result) []Violation {
 		return viols[i].Bytes < viols[j].Bytes
 	})
 	return viols
+}
+
+// stackRails describes s's rails as selection sees them — what mpi.Run
+// puts in coll.Tuning.Rails.
+func stackRails(s cluster.Stack) []coll.RailInfo {
+	var rails []coll.RailInfo
+	for _, rp := range s.Rails {
+		rails = append(rails, coll.RailInfo{
+			Name: rp.Name, LatencyNS: int64(rp.Latency), BytesPerSec: rp.BytesPerSec,
+		})
+	}
+	return rails
 }
 
 // PresetStacks enumerates the stack models worth calibrating.

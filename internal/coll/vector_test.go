@@ -154,7 +154,7 @@ func TestPropertyAlltoallvRoutesAllBlocks(t *testing.T) {
 		}
 		ok := true
 		runAll(t, n, func(p *peer) {
-			ExecBlocking(p, BuildAlltoallv(p.Rank(), n, send[p.Rank()], recv[p.Rank()], seed%2 == 0), 32)
+			ExecBlocking(p, BuildAlltoallv(p.Rank(), n, send[p.Rank()], recv[p.Rank()], seed%2 == 0), 32, nil)
 		})
 		for r := 0; r < n && ok; r++ {
 			for s := 0; s < n && ok; s++ {

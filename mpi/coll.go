@@ -37,11 +37,14 @@ const (
 )
 
 // SendT / RecvT / SendRecvT implement coll.PtPt on the collective context.
-func (c *Comm) SendT(dst int, tag int32, data []byte) {
+// A send's rail hint rides the CH3 request into the backend (encoding as on
+// coll.Prim.Rail — 0 auto, k > 0 pins rail k-1; shared-memory and
+// single-rail paths ignore it).
+func (c *Comm) SendT(dst int, tag int32, data []byte, rail int) {
 	if dst == c.rank {
 		panic("mpi: collective self-send")
 	}
-	c.finishT(c.p.Isend(c.proc, c.world(dst), tag, c.collCtx, data))
+	c.finishT(c.p.IsendRail(c.proc, c.world(dst), tag, c.collCtx, data, rail))
 }
 
 // RecvT receives on the collective context.
@@ -50,9 +53,9 @@ func (c *Comm) RecvT(src int, tag int32, buf []byte) int {
 }
 
 // SendRecvT performs a concurrent exchange on the collective context.
-func (c *Comm) SendRecvT(dst int, sdata []byte, src int, rbuf []byte, tag int32) int {
+func (c *Comm) SendRecvT(dst int, sdata []byte, src int, rbuf []byte, tag int32, rail int) int {
 	rr := c.p.Irecv(c.proc, c.world(src), tag, c.collCtx, rbuf)
-	sr := c.p.Isend(c.proc, c.world(dst), tag, c.collCtx, sdata)
+	sr := c.p.IsendRail(c.proc, c.world(dst), tag, c.collCtx, sdata, rail)
 	return c.finishExchangeT(sr, rr)
 }
 
@@ -86,25 +89,6 @@ func (c *Comm) waitPair(sr, rr *ch3.Request) {
 	c.pairSend, c.pairRecv = sr, rr
 	c.mgr.WaitUntil(c.proc, c.pairDone)
 	c.pairSend, c.pairRecv = nil, nil
-}
-
-// SendRailT / SendRecvRailT implement coll.RailPtPt: the striped schedules'
-// rail hints ride the CH3 request into the backend (rail encoding as on
-// coll.Prim.Rail — 0 auto, k > 0 pins rail k-1; shared-memory and
-// single-rail paths ignore it).
-func (c *Comm) SendRailT(dst int, tag int32, data []byte, rail int) {
-	if dst == c.rank {
-		panic("mpi: collective self-send")
-	}
-	c.finishT(c.p.IsendRail(c.proc, c.world(dst), tag, c.collCtx, data, rail))
-}
-
-// SendRecvRailT performs a concurrent exchange whose send half carries a
-// rail placement hint.
-func (c *Comm) SendRecvRailT(dst int, sdata []byte, src int, rbuf []byte, tag int32, rail int) int {
-	rr := c.p.Irecv(c.proc, c.world(src), tag, c.collCtx, rbuf)
-	sr := c.p.IsendRail(c.proc, c.world(dst), tag, c.collCtx, sdata, rail)
-	return c.finishExchangeT(sr, rr)
 }
 
 // twoLevelApplies reports whether the topology-aware hierarchical variants
@@ -181,7 +165,7 @@ func (c *Comm) schedViews(op coll.OpKind, a coll.Args) (*coll.Schedule, func()) 
 func (c *Comm) Barrier() {
 	defer c.span("Barrier")()
 	s, release := c.sched(coll.OpBarrier, coll.Args{})
-	coll.ExecBlockingRec(c, s, tagBarrier, c.rec)
+	coll.ExecBlocking(c, s, tagBarrier, c.rec)
 	release()
 }
 
@@ -190,7 +174,7 @@ func (c *Comm) Bcast(root int, data []byte) {
 	defer c.span("Bcast")()
 	c.checkRoot("Bcast", root)
 	s, release := c.sched(coll.OpBcast, coll.Args{Root: root, Data: data})
-	coll.ExecBlockingRec(c, s, tagBcast, c.rec)
+	coll.ExecBlocking(c, s, tagBcast, c.rec)
 	release()
 }
 
@@ -199,7 +183,7 @@ func (c *Comm) AllreduceF64(x []float64, op coll.Op) {
 	defer c.span("AllreduceF64")()
 	c.checkOp("AllreduceF64", op)
 	s, release := c.sched(coll.OpAllreduce, coll.Args{X: x, Op: op})
-	coll.ExecBlockingRec(c, s, tagAllreduce, c.rec)
+	coll.ExecBlocking(c, s, tagAllreduce, c.rec)
 	release()
 }
 
@@ -209,7 +193,7 @@ func (c *Comm) ReduceF64(root int, x []float64, op coll.Op) {
 	c.checkRoot("ReduceF64", root)
 	c.checkOp("ReduceF64", op)
 	s, release := c.sched(coll.OpReduce, coll.Args{Root: root, X: x, Op: op})
-	coll.ExecBlockingRec(c, s, tagReduce, c.rec)
+	coll.ExecBlocking(c, s, tagReduce, c.rec)
 	release()
 }
 
@@ -218,7 +202,7 @@ func (c *Comm) Allgather(mine []byte, out [][]byte) {
 	defer c.span("Allgather")()
 	c.checkAllgather("Allgather", mine, out)
 	s, release := c.schedViews(coll.OpAllgather, coll.Args{Mine: mine, Out: out})
-	coll.ExecBlockingRec(c, s, tagAllgather, c.rec)
+	coll.ExecBlocking(c, s, tagAllgather, c.rec)
 	release()
 }
 
@@ -227,7 +211,7 @@ func (c *Comm) Alltoall(send, recv [][]byte) {
 	defer c.span("Alltoall")()
 	c.checkAlltoall("Alltoall", send, recv)
 	s, release := c.schedViews(coll.OpAlltoall, coll.Args{Send: send, Recv: recv})
-	coll.ExecBlockingRec(c, s, tagAlltoall, c.rec)
+	coll.ExecBlocking(c, s, tagAlltoall, c.rec)
 	release()
 }
 
@@ -236,7 +220,7 @@ func (c *Comm) Gather(root int, mine []byte, out [][]byte) {
 	defer c.span("Gather")()
 	c.checkGather("Gather", root, mine, out)
 	s, release := c.schedViews(coll.OpGather, coll.Args{Root: root, Mine: mine, Out: out})
-	coll.ExecBlockingRec(c, s, tagGather, c.rec)
+	coll.ExecBlocking(c, s, tagGather, c.rec)
 	release()
 }
 
@@ -246,7 +230,7 @@ func (c *Comm) Scatter(root int, blocks [][]byte, buf []byte) {
 	defer c.span("Scatter")()
 	c.checkScatter("Scatter", root, blocks, buf)
 	s, release := c.schedViews(coll.OpScatter, coll.Args{Root: root, Send: blocks, Mine: buf})
-	coll.ExecBlockingRec(c, s, tagScatter, c.rec)
+	coll.ExecBlocking(c, s, tagScatter, c.rec)
 	release()
 }
 
@@ -266,7 +250,7 @@ func (c *Comm) Alltoallv(sbuf []byte, scounts, sdispls []int, rbuf []byte, rcoun
 	defer c.span("Alltoallv")()
 	a := c.alltoallvArgs("Alltoallv", sbuf, scounts, sdispls, rbuf, rcounts, rdispls)
 	s, release := c.sched(coll.OpAlltoallv, a)
-	coll.ExecBlockingRec(c, s, tagAlltoallv, c.rec)
+	coll.ExecBlocking(c, s, tagAlltoallv, c.rec)
 	release()
 }
 
@@ -284,7 +268,7 @@ func (c *Comm) Allgatherv(mine []byte, rbuf []byte, rcounts, rdispls []int) {
 	defer c.span("Allgatherv")()
 	a := c.allgathervArgs("Allgatherv", mine, rbuf, rcounts, rdispls)
 	s, release := c.sched(coll.OpAllgatherv, a)
-	coll.ExecBlockingRec(c, s, tagAllgatherv, c.rec)
+	coll.ExecBlocking(c, s, tagAllgatherv, c.rec)
 	release()
 }
 
@@ -302,7 +286,7 @@ func (c *Comm) Gatherv(root int, mine []byte, rbuf []byte, rcounts, rdispls []in
 	defer c.span("Gatherv")()
 	a := c.gathervArgs("Gatherv", root, mine, rbuf, rcounts, rdispls)
 	s, release := c.sched(coll.OpGatherv, a)
-	coll.ExecBlockingRec(c, s, tagGatherv, c.rec)
+	coll.ExecBlocking(c, s, tagGatherv, c.rec)
 	release()
 }
 
@@ -320,7 +304,7 @@ func (c *Comm) Scatterv(root int, sbuf []byte, scounts, sdispls []int, buf []byt
 	defer c.span("Scatterv")()
 	a := c.scattervArgs("Scatterv", root, sbuf, scounts, sdispls, buf)
 	s, release := c.sched(coll.OpScatterv, a)
-	coll.ExecBlockingRec(c, s, tagScatterv, c.rec)
+	coll.ExecBlocking(c, s, tagScatterv, c.rec)
 	release()
 }
 
@@ -339,7 +323,7 @@ func (c *Comm) ReduceScatterF64(x, recv []float64, counts []int, op coll.Op) {
 	defer c.span("ReduceScatterF64")()
 	a := c.reduceScatterArgs("ReduceScatterF64", x, recv, counts, op)
 	s, release := c.sched(coll.OpReduceScatter, a)
-	coll.ExecBlockingRec(c, s, tagReduceScatter, c.rec)
+	coll.ExecBlocking(c, s, tagReduceScatter, c.rec)
 	release()
 }
 

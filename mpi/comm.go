@@ -114,6 +114,18 @@ type Comm struct {
 	waitI   int
 	allDone func() bool
 
+	// oneDone is Wait's predicate over waitQ, a request without a CH3
+	// request; anyDone is WaitAny's over anyQs, a copy of its arguments
+	// (so the caller's variadic slice stays on its stack), leaving the
+	// index of the first completed request in anyI. Both are bound to this
+	// handle on first use, and their requests are cleared when the wait
+	// returns.
+	waitQ   *Request
+	oneDone func() bool
+	anyQs   []*Request
+	anyI    int
+	anyDone func() bool
+
 	rec *trace.Recorder // event recorder (nil when tracing is off)
 	met *trace.Registry // this rank's counter registry (never nil under Run)
 
@@ -198,6 +210,8 @@ func (c *Comm) Dup() *Comm {
 	d.cache = nil
 	d.pairDone = nil
 	d.waitQs, d.allDone = nil, nil
+	d.waitQ, d.oneDone = nil, nil
+	d.anyQs, d.anyDone = nil, nil
 	d.selfSends = nil
 	d.selfRecvs = nil
 	return &d
@@ -305,7 +319,12 @@ func (c *Comm) Wait(q *Request) Status {
 	if q.r != nil {
 		c.waitOn(q.r.DoneFunc())
 	} else {
-		c.waitOn(q.Done)
+		if c.oneDone == nil {
+			c.oneDone = func() bool { return c.waitQ.Done() }
+		}
+		c.waitQ = q
+		c.waitOn(c.oneDone)
+		c.waitQ = nil
 	}
 	q.finish()
 	return q.st
@@ -350,16 +369,21 @@ func (c *Comm) WaitAll(qs ...*Request) {
 // and status (MPI_Waitany). Indexes of already-completed requests win.
 func (c *Comm) WaitAny(qs ...*Request) (int, Status) {
 	defer c.span("WaitAny", trace.Int64("n", int64(len(qs))))()
-	idx := -1
-	c.mgr.WaitUntil(c.proc, func() bool {
-		for i, q := range qs {
-			if q != nil && q.Done() {
-				idx = i
-				return true
+	if c.anyDone == nil {
+		c.anyDone = func() bool {
+			for i, q := range c.anyQs {
+				if q != nil && q.Done() {
+					c.anyI = i
+					return true
+				}
 			}
+			return false
 		}
-		return false
-	})
+	}
+	c.anyQs = append(c.anyQs[:0], qs...)
+	c.mgr.WaitUntil(c.proc, c.anyDone)
+	clear(c.anyQs)
+	idx := c.anyI
 	q := qs[idx]
 	q.finish()
 	return idx, q.st

@@ -129,7 +129,7 @@ func (c *Comm) unpackD(user, wire []byte, dt Datatype) {
 func (c *Comm) AlltoallvBytes(send, recv [][]byte) {
 	a := c.alltoallvBytesArgs("AlltoallvBytes", send, recv)
 	s, release := c.schedViews(coll.OpAlltoallv, a)
-	coll.ExecBlocking(c, s, tagAlltoallv)
+	coll.ExecBlocking(c, s, tagAlltoallv, nil)
 	release()
 }
 

@@ -131,7 +131,7 @@ func TestSendBufferReusableOnReturn(t *testing.T) {
 						case x.rail == 0:
 							c.Wait(c.Isend(peer, tag, sbuf))
 						case mode == "Send":
-							c.SendRailT(peer, int32(tag), sbuf, x.rail)
+							c.SendT(peer, int32(tag), sbuf, x.rail)
 						default:
 							c.finishT(c.p.IsendRail(c.proc, c.world(peer), int32(tag), c.collCtx, sbuf, x.rail))
 						}
@@ -166,7 +166,7 @@ func TestSendBufferReusableOnReturn(t *testing.T) {
 									if x.rail == 0 {
 										c.Sendrecv(peer, tag, sbuf, peer, tag, rbuf)
 									} else {
-										c.SendRecvRailT(peer, sbuf, peer, rbuf, int32(tag), x.rail)
+										c.SendRecvT(peer, sbuf, peer, rbuf, int32(tag), x.rail)
 									}
 									fill(sbuf, scribble, 0)
 									check(what, peer)

@@ -122,9 +122,9 @@ type Config struct {
 	// Alltoall and their nonblocking counterparts when several ranks share a
 	// node.
 	TwoLevelColl bool
-	// Coll tunes collective algorithm selection: forced algorithms,
-	// threshold overrides, and calibrated per-stack tuning tables. The zero
-	// value selects the defaults documented in internal/coll/README.md. A
+	// Coll tunes collective selection: forced algorithms, a forced segment
+	// size or stripe width, and calibrated per-stack tuning tables. The
+	// zero value selects the defaults documented in internal/coll/README.md. A
 	// table loads from a colltune-emitted JSON file via
 	// cfg.Coll.LoadTable(data), or from the embedded per-stack calibrations
 	// via cfg.Coll.Table = tune.TableFor(cfg.Stack.Name). Run fills

@@ -540,6 +540,58 @@ func TestNonblockingP2PAllocBudget(t *testing.T) {
 	}
 }
 
+// TestWaitPredicatesZeroAlloc pins what waiting on a request without a CH3
+// request costs beyond the request itself: nothing. A cached nonblocking
+// allreduce closed by Wait, or by WaitAny over its one request, allocates
+// exactly one object a call on each rank, its *Request handle, because
+// Wait's and WaitAny's predicates are bound once per communicator, as
+// WaitAll's is. Rank 0 opens the bracket before a token broadcast lets any
+// rank start, and closes it before a second one lets any rank leave.
+func TestWaitPredicatesZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const np, warm, calls = 2, 20, 100
+	for _, tc := range []struct {
+		name string
+		wait func(c *Comm, q *Request)
+	}{
+		{"Wait", func(c *Comm, q *Request) { c.Wait(q) }},
+		{"WaitAny", func(c *Comm, q *Request) { c.WaitAny(q) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got alloctest.Result
+			_, err := Run(xeonCfg(np, cluster.MPICH2NmadIB()), func(c *Comm) {
+				x, token := make([]float64, 16), make([]byte, 1)
+				for i := 0; i < warm; i++ {
+					c.Bcast(0, token)
+					tc.wait(c, c.IallreduceF64(x, OpSum))
+					c.Barrier()
+				}
+				var b *alloctest.Bracket
+				if c.Rank() == 0 {
+					b = alloctest.Start()
+				}
+				c.Bcast(0, token)
+				for i := 0; i < calls; i++ {
+					tc.wait(c, c.IallreduceF64(x, OpSum))
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					got = b.Stop()
+				}
+				c.Bcast(0, token)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(np * calls); got.Objects != want {
+				t.Fatalf("%d cached IallreduceF64 closed by %s on %d ranks allocate %v\nwant %d (1 a call: the Request)",
+					calls, tc.name, np, got, want)
+			}
+		})
+	}
+}
+
 // TestRequestFitsSizeClass pins the Request handle at 80 B or less: every
 // nonblocking-collective start allocates one, and coll_storm's
 // alloc_kb_per_op rose past its bound when a kept status pushed it into the

@@ -20,8 +20,8 @@ func TestRunRejectsMalformedTuning(t *testing.T) {
 	}
 
 	cfg2 := xeonCfg(2, cluster.MPICH2NmadIB())
-	cfg2.Coll.Table = &coll.Table{Stack: "x", Ops: map[string][]coll.TableEntry{
-		"bcast": {{MaxBytes: 4096, Algo: coll.AlgoBinomial}}, // no unbounded tail
+	cfg2.Coll.Table = &coll.Table{Stack: "x", Bands: map[string][]coll.NPBand{
+		"bcast": {{MaxNP: -1, Entries: []coll.TableEntry{{MaxBytes: 4096, Algo: coll.AlgoBinomial}}}}, // no unbounded tail
 	}}
 	_, err = Run(cfg2, func(c *Comm) {})
 	if err == nil || !strings.Contains(err.Error(), "must be unbounded") {
@@ -52,8 +52,8 @@ func TestTableChangesExecution(t *testing.T) {
 		}
 		return rep.Seconds
 	}
-	binomialOnly := &coll.Table{Stack: stack.Name, Ops: map[string][]coll.TableEntry{
-		"bcast": {{MaxBytes: -1, Algo: coll.AlgoBinomial}},
+	binomialOnly := &coll.Table{Stack: stack.Name, Bands: map[string][]coll.NPBand{
+		"bcast": {{MaxNP: -1, Entries: []coll.TableEntry{{MaxBytes: -1, Algo: coll.AlgoBinomial}}}},
 	}}
 
 	tDefault := measure(func(*Config) {})
